@@ -1,8 +1,9 @@
 """Distributed baselines for the efficiency study (Section VII-D).
 
-All maintainers expose the same interface (``apply_batch`` /
-``independent_set`` / ``update_metrics``) so the benchmark harness can sweep
-over them uniformly:
+All maintainers expose the same interface (``apply_batch`` returning the
+batch's ``(entered, left)`` membership change / ``independent_set`` /
+``update_metrics``) so the benchmark harness and the streaming session can
+drive them uniformly:
 
 - **DOIMIS / DOIMIS+ / DOIMIS\\*** — Algorithm 3 with the three activation
   strategies (:func:`make_algorithm` names them as the paper does).
@@ -18,7 +19,7 @@ over them uniformly:
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.activation import ActivationStrategy
 from repro.core.dismis import DisMISProgram, Status
@@ -31,6 +32,7 @@ from repro.graph.updates import EdgeDeletion, EdgeInsertion, EdgeUpdate
 from repro.pregel.metrics import RunMetrics
 from repro.pregel.partition import HashPartitioner, Partitioner
 from repro.scaleg.engine import ScaleGEngine
+from repro.util import membership_delta
 
 
 class RecomputeBaseline:
@@ -67,10 +69,13 @@ class RecomputeBaseline:
     def independent_set(self) -> Set[int]:
         return set(self._set)
 
-    def apply_batch(self, operations: Sequence[EdgeUpdate]) -> None:
+    def apply_batch(
+        self, operations: Sequence[EdgeUpdate]
+    ) -> Tuple[Set[int], Set[int]]:
         ops: List[EdgeUpdate] = list(operations)
         if not ops:
-            return
+            return set(), set()
+        before = self._set
         started = time.perf_counter()
         for op in ops:
             if isinstance(op, EdgeInsertion):
@@ -83,6 +88,7 @@ class RecomputeBaseline:
         self._recompute(self.update_metrics)
         self.updates_applied += len(ops)
         self.batches_applied += 1
+        return membership_delta(before, self._set)
 
     def apply_stream(self, operations: Iterable[EdgeUpdate], batch_size: int = 1) -> None:
         pending: List[EdgeUpdate] = []

@@ -92,7 +92,10 @@ class DOIMISMaintainer:
         Partition representation for the engine's sweeps — ``"dict"``
         (the bit-identity reference) or ``"csr"`` (flat-array mirror,
         vectorized sweeps + shared-memory worker frames); ``None``
-        defers to the ``REPRO_REPRESENTATION`` env flag.
+        defers to the ``REPRO_REPRESENTATION`` env flag.  On CSR the
+        partition's membership bitmap is the only copy of the vertex
+        state (a :class:`~repro.graph.csr.CSRStates` view), so an update
+        costs O(affected), never an O(n) state copy.
     """
 
     def __init__(
@@ -124,16 +127,27 @@ class DOIMISMaintainer:
         self._keep_records = keep_records
         self.init_metrics = RunMetrics(num_workers=self._dgraph.num_workers)
         self.update_metrics = RunMetrics(num_workers=self._dgraph.num_workers)
+        #: the CSR partition whose bitmap owns the state, else None
+        self._csr = None
+        if (self._engine.representation == "csr"
+                and self._program.csr_kernel() is not None):
+            from repro.graph.csr import CSRPartition
+
+            self._csr = CSRPartition.attach(self._dgraph)
+        #: membership as of the last :meth:`apply_batch` report, for every
+        #: vertex whose state may have changed since (False: not a vertex)
+        self._reported: Dict[int, bool] = {}
         if resume_states is None:
             result = self._engine.run(self._program, metrics=self.init_metrics)
-            self._states: Dict[int, bool] = result.states
+            states = result.states
         else:
             # checkpoint restore: trust the stored fixpoint (cheap to audit
             # with verify()); missing vertices default to in = true, the
             # same initialization a fresh vertex gets
-            self._states = {
+            states = {
                 u: bool(resume_states.get(u, True)) for u in graph.vertices()
             }
+        self._states: Dict[int, bool] = self._adopt(states)
         self.updates_applied = 0
         self.batches_applied = 0
 
@@ -155,6 +169,13 @@ class DOIMISMaintainer:
     @property
     def num_workers(self) -> int:
         return self._dgraph.num_workers
+
+    @property
+    def state_partition(self):
+        """The :class:`~repro.graph.csr.CSRPartition` whose membership
+        bitmap is this maintainer's vertex state (``None`` on the dict
+        path)."""
+        return self._csr
 
     @property
     def failover(self):
@@ -199,8 +220,18 @@ class DOIMISMaintainer:
             self._states, self._program.sync_bytes, self.update_metrics
         )
 
+    def _adopt(self, states: Dict[int, bool]) -> Dict[int, bool]:
+        """Take ``states`` (a dict from outside) as the maintained state:
+        bulk loaded into the bitmap on CSR, kept as the dict otherwise."""
+        if self._csr is None:
+            return states
+        self._csr.sync_states(states)
+        return self._csr.states
+
     def independent_set(self) -> Set[int]:
         """The currently maintained independent set ``{u | u.in}``."""
+        if self._csr is not None:
+            return self._csr.states.members()
         return independent_set_from_states(self._states)
 
     def contains(self, u: int) -> bool:
@@ -208,6 +239,8 @@ class DOIMISMaintainer:
         return bool(self._states.get(u, False))
 
     def __len__(self) -> int:
+        if self._csr is not None:
+            return self._csr.states.member_count()
         return sum(1 for in_set in self._states.values() if in_set)
 
     # ------------------------------------------------------------------
@@ -215,11 +248,11 @@ class DOIMISMaintainer:
     # ------------------------------------------------------------------
     def insert_edge(self, u: int, v: int) -> None:
         """Insert edge ``(u, v)`` and restore the MIS."""
-        self.apply_batch([EdgeInsertion(u, v)])
+        self._apply_edges([EdgeInsertion(u, v)])
 
     def delete_edge(self, u: int, v: int) -> None:
         """Delete edge ``(u, v)`` and restore the MIS."""
-        self.apply_batch([EdgeDeletion(u, v)])
+        self._apply_edges([EdgeDeletion(u, v)])
 
     def insert_vertex(self, u: int, neighbors: Iterable[int] = ()) -> None:
         """Insert vertex ``u`` (with optional incident edges) — Section VI.
@@ -231,9 +264,10 @@ class DOIMISMaintainer:
             raise WorkloadError(f"vertex {u} already exists")
         self._dgraph.add_vertex(u)
         self._states[u] = True
+        self._reported.setdefault(u, False)
         edges = [EdgeInsertion(u, v) for v in sorted(set(neighbors))]
         if edges:
-            self.apply_batch(edges)
+            self._apply_edges(edges)
         else:
             self.updates_applied += 1
 
@@ -241,7 +275,8 @@ class DOIMISMaintainer:
         """Delete vertex ``u``: batch-delete incident edges, then drop it."""
         incident = [EdgeDeletion(u, v) for v in sorted(self.graph.neighbors(u))]
         if incident:
-            self.apply_batch(incident)
+            self._apply_edges(incident)
+        self._reported.setdefault(u, self.contains(u))
         self._dgraph.remove_vertex(u)
         self._states.pop(u, None)
         self.updates_applied += 1
@@ -249,7 +284,7 @@ class DOIMISMaintainer:
     def apply(self, op: UpdateOp) -> None:
         """Apply a single update operation of any kind."""
         if isinstance(op, (EdgeInsertion, EdgeDeletion)):
-            self.apply_batch([op])
+            self._apply_edges([op])
         elif isinstance(op, VertexInsertion):
             self.insert_vertex(op.u, op.neighbors)
         elif isinstance(op, VertexDeletion):
@@ -257,19 +292,42 @@ class DOIMISMaintainer:
         else:
             raise WorkloadError(f"unknown update operation {op!r}")
 
-    def apply_batch(self, operations: Union[UpdateBatch, Sequence[EdgeUpdate]]) -> None:
+    def apply_batch(
+        self, operations: Union[UpdateBatch, Sequence[EdgeUpdate]]
+    ) -> Tuple[Set[int], Set[int]]:
         """Apply a batch of edge updates and re-converge (Section VI).
 
         The batch is validated as a whole *before* any mutation (atomic: an
         invalid operation raises and leaves graph and set untouched), then
         the graph mutates, and one maintenance run starts from the union of
         all operations' affected vertices.
+
+        Returns ``(entered, left)``: the vertices that joined and left the
+        set since the previous ``apply_batch`` returned — this batch's
+        changes plus any made in between through the other update methods.
+        The cost is O(changed vertices), read from the engine run's record
+        of overwritten states, never a scan of the whole set.
         """
         ops: List[EdgeUpdate] = list(operations)
-        if not ops:
-            return
+        if ops:
+            self._apply_edges(ops)
+        reported, self._reported = self._reported, {}
+        contains = self.contains
+        entered = {u for u, was in reported.items() if not was and contains(u)}
+        left = {u for u, was in reported.items() if was and not contains(u)}
+        return entered, left
+
+    def _apply_edges(self, ops: List[EdgeUpdate]) -> None:
+        """One atomic maintenance run for ``ops`` (see :meth:`apply_batch`)."""
         self._validate_batch(ops)
         started = time.perf_counter()
+        graph = self.graph
+        # edge insertions may introduce brand-new vertices: they join with
+        # in = true, exactly like Section VI's vertex insertion (sorted so
+        # the state dict's insertion order never depends on set hashing)
+        created = sorted({
+            u for op in ops for u in (op.u, op.v) if not graph.has_vertex(u)
+        })
         touched: Set[int] = set()
         new_guests: List[int] = []  # vertex per brand-new guest copy
         for op in ops:
@@ -283,14 +341,8 @@ class DOIMISMaintainer:
                 self._dgraph.remove_edge(op.u, op.v)
             touched.add(op.u)
             touched.add(op.v)
-        # edge insertions may introduce brand-new vertices: they join with
-        # in = true, exactly like Section VI's vertex insertion (sorted so
-        # the state dict's insertion order never depends on set hashing)
-        created: List[int] = []
-        for u in sorted(touched):
-            if u not in self._states and self._dgraph.has_vertex(u):
-                self._states[u] = True
-                created.append(u)
+        for u in created:
+            self._states[u] = True
 
         self._engine.charge_graph_update(
             sorted(touched), new_guests, self._program,
@@ -299,7 +351,7 @@ class DOIMISMaintainer:
         affected = affected_vertices(self.graph, touched)
         self.update_metrics.wall_time_s += time.perf_counter() - started
         try:
-            self._engine.run(
+            result = self._engine.run(
                 self._program,
                 initial_active=affected,
                 states=self._states,
@@ -320,8 +372,20 @@ class DOIMISMaintainer:
                 self._dgraph.remove_vertex(u)
                 self._states.pop(u, None)
             raise
+        self._note_overwritten(result.overwritten, created)
         self.updates_applied += len(ops)
         self.batches_applied += 1
+
+    def _note_overwritten(self, overwritten: Dict[int, bool],
+                          created: Iterable[int] = ()) -> None:
+        """Fold one successful run into the membership report: created
+        vertices were not members before, every other overwritten vertex
+        held its run-entry value."""
+        reported = self._reported
+        for u in created:
+            reported.setdefault(u, False)
+        for u, was in overwritten.items():
+            reported.setdefault(u, bool(was))
 
     def _validate_batch(self, ops: Sequence[EdgeUpdate]) -> None:
         """Check the whole batch replays cleanly before touching the graph.
@@ -409,9 +473,13 @@ class DOIMISMaintainer:
 
         Costs are charged to :attr:`init_metrics`, not the update meter.
         """
+        before = self.independent_set()
         result = self._engine.run(self._program, metrics=self.init_metrics)
-        self._states = result.states
-        return self.independent_set()
+        self._states = self._adopt(result.states)
+        after = self.independent_set()
+        for u in before ^ after:
+            self._reported.setdefault(u, u in before)
+        return after
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

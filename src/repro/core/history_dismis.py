@@ -46,6 +46,7 @@ from repro.pregel.metrics import (
     RunMetrics,
 )
 from repro.pregel.partition import HashPartitioner, Partitioner
+from repro.util import membership_delta
 
 #: sentinel exit round for vertices still Unknown (never happens post-run)
 _NEVER = 1 << 30
@@ -153,10 +154,13 @@ class HistoryDisMIS:
     # ------------------------------------------------------------------
     # incremental replay
     # ------------------------------------------------------------------
-    def apply_batch(self, operations: Sequence[EdgeUpdate]) -> None:
+    def apply_batch(
+        self, operations: Sequence[EdgeUpdate]
+    ) -> Tuple[Set[int], Set[int]]:
         ops: List[EdgeUpdate] = list(operations)
         if not ops:
-            return
+            return set(), set()
+        before = self.independent_set()
         graph = self.graph
         touched: Set[int] = set()
         for op in ops:
@@ -174,6 +178,7 @@ class HistoryDisMIS:
         self._replay(affected_vertices(graph, touched), self.update_metrics)
         self.updates_applied += len(ops)
         self.batches_applied += 1
+        return membership_delta(before, self.independent_set())
 
     def apply_stream(self, operations: Iterable[EdgeUpdate], batch_size: int = 1) -> None:
         pending: List[EdgeUpdate] = []

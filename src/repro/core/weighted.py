@@ -230,14 +230,13 @@ class WeightedMISMaintainer(DOIMISMaintainer):
             program=program,
         )
 
-    def apply_batch(self, operations) -> None:
+    def _apply_edges(self, ops) -> None:
         """Edge-update batch; endpoints new to the graph get unit weight."""
-        ops = list(operations)
         for op in ops:
             for endpoint in (getattr(op, "u", None), getattr(op, "v", None)):
                 if isinstance(endpoint, int):
                     self.weights.setdefault(endpoint, 1.0)
-        super().apply_batch(ops)
+        super()._apply_edges(ops)
 
     # -- weighted-specific operations ------------------------------------
     def set_weight(self, u: int, weight: float) -> None:
@@ -258,13 +257,14 @@ class WeightedMISMaintainer(DOIMISMaintainer):
             [u], (), self._program, self._states, self.update_metrics
         )
         affected = affected_vertices(self.graph, {u})
-        self._engine.run(
+        result = self._engine.run(
             self._program,
             initial_active=affected,
             states=self._states,
             metrics=self.update_metrics,
             keep_records=self._keep_records,
         )
+        self._note_overwritten(result.overwritten)
         self.updates_applied += 1
 
     def weight_of_set(self) -> float:

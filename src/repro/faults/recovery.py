@@ -74,8 +74,11 @@ class SuperstepCheckpoint:
 
     def restore(self, states: Dict[int, Any]) -> List[int]:
         """Reset ``states`` (in place) to the checkpoint; returns the pending
-        activation set to replay."""
-        states.clear()
+        activation set to replay.  Entries the checkpoint lacks are
+        dropped; every other entry is overwritten in one ``update`` (a
+        vectorized row write when ``states`` is the CSR bitmap view)."""
+        for u in states.keys() - self.states.keys():
+            del states[u]
         states.update(_snapshot_states(self.states))
         return list(self.active)
 

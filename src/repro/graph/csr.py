@@ -15,9 +15,13 @@ view so a whole superstep sweep becomes a few vectorized numpy passes:
   rank-ordered scan of Algorithm 2, precomputed);
 - ``home``     — the owning logical worker per row (vectorized
   multiplicative hash for the stock :class:`HashPartitioner`);
-- ``in_``      — the packed membership bitmap (one ``bool`` per row),
-  synced from the engine's state dict at run entry and updated in place
-  at every barrier commit.
+- ``in_``      — the packed membership bitmap (one ``bool`` per row).
+  For the OIMIS family it *is* the vertex state: :class:`CSRStates`
+  exposes it as a ``{vertex: bool}`` mapping, the engine commits each
+  barrier's changed rows through it, and a rebuild carries every bit
+  across a row-set change (a new vertex starts in the set, the paper's
+  vertex-insertion init).  :meth:`CSRPartition.sync_states` only bulk
+  loads state arriving from outside (a checkpoint, a static run's dict).
 
 The mirror registers as a :class:`DynamicGraph` mutation observer (the
 same protocol the rank caches and the process runtime use) and repairs
@@ -39,8 +43,9 @@ fine; constructing a :class:`CSRPartition` raises a clear error.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, MutableMapping, ValuesView
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 try:  # numpy is optional at import time (CI lint jobs, minimal installs)
     import numpy as np
@@ -140,6 +145,8 @@ class CSRPartition:
         # reader (unlink is deferred until the count drops to zero)
         self._pins: Dict[str, int] = {}
         self._retired: Dict[str, Any] = {}
+        #: the bitmap as a state mapping (see :class:`CSRStates`)
+        self.states = CSRStates(self)
 
     # -- attachment -----------------------------------------------------
     @classmethod
@@ -191,6 +198,7 @@ class CSRPartition:
 
     def _rebuild(self) -> None:
         graph = self._graph
+        old_ids, old_in = self.ids, self.in_
         order = graph.sorted_vertices()
         n = len(order)
         ids = np.fromiter(order, np.int64, count=n)
@@ -222,7 +230,13 @@ class CSRPartition:
         self.indptr = indptr
         self.nbr = dst[grab]
         self.home = self._home_array(ids)
-        self.in_ = np.zeros(n, np.bool_)
+        # surviving rows keep their bit; new vertices join the set
+        in_ = np.ones(n, np.bool_)
+        if old_in is not None and old_ids.size and n:
+            pos = np.minimum(np.searchsorted(ids, old_ids), n - 1)
+            kept = ids[pos] == old_ids
+            in_[pos[kept]] = old_in[kept]
+        self.in_ = in_
         self._bitmap_in_shm = False
         self._index = index
         self._ids_list = ids.tolist()
@@ -383,12 +397,15 @@ class CSRPartition:
 
     # -- state bitmap ---------------------------------------------------
     def sync_states(self, states: Dict[int, Any]) -> None:
-        """(Re)load the membership bitmap from the engine's state dict.
+        """Bulk load the membership bitmap from a state dict that arrived
+        from outside (a checkpoint, a static run's result, a caller's own
+        dict handed to the engine).
 
-        Requires a state entry for every vertex of the graph (the engines
-        guarantee it); missing entries raise ``KeyError`` rather than
-        silently diverging from the dict path.
+        Requires a state entry for every vertex of the graph; missing
+        entries raise ``KeyError`` rather than silently diverging from
+        the dict path.
         """
+        self.ensure()
         n = len(self._ids_list)
         vals = np.fromiter(
             map(states.__getitem__, self._ids_list), np.bool_, count=n
@@ -398,20 +415,6 @@ class CSRPartition:
         else:
             self.in_ = vals
             self._bitmap_in_shm = False
-
-    def apply_new_states(self, new_states: Dict[int, Any]) -> None:
-        """Fold one barrier's committed states into the bitmap (in place,
-        so a published shared frame sees the writes without reshipping)."""
-        if not new_states:
-            return
-        count = len(new_states)
-        rows = np.searchsorted(
-            self.ids,
-            np.fromiter(new_states.keys(), np.int64, count=count),
-        )
-        self.in_[rows] = np.fromiter(
-            new_states.values(), np.bool_, count=count
-        )
 
     def index_of(self, vertex_ids) -> Any:
         """Row indices of ``vertex_ids`` (every id must be present)."""
@@ -579,6 +582,96 @@ class CSRPartition:
             self.release_shared()
         except Exception:
             pass
+
+
+class CSRStates(MutableMapping):
+    """A partition's membership bitmap as a ``{vertex: bool}`` mapping.
+
+    On the CSR path this view is the only copy of OIMIS-family vertex
+    state: the engine reads and commits through it, and every caller that
+    takes a state dict (activation charging, fault checkpoints, failover,
+    contracts) works on it unchanged.  Keys follow the graph: a vertex the
+    graph gains appears at the next access (in the set, per the rebuild),
+    a removed one disappears, and deleting a vertex still in the graph is
+    refused.
+    """
+
+    __slots__ = ("_part",)
+
+    def __init__(self, part: CSRPartition) -> None:
+        self._part = part
+
+    def _rows(self) -> CSRPartition:
+        part = self._part
+        if part._needs_rebuild or part.ids is None:
+            part.ensure()  # the row set changed: rebuild, carrying bits
+        return part
+
+    def __getitem__(self, u: int) -> bool:
+        part = self._rows()
+        return bool(part.in_[part._index[u]])
+
+    def __setitem__(self, u: int, value: Any) -> None:
+        part = self._rows()
+        part.in_[part._index[u]] = value
+
+    def __delitem__(self, u: int) -> None:
+        if u in self._rows()._index:
+            raise ValueError(
+                f"vertex {u} is still in the graph: bitmap rows follow the "
+                "graph, remove the vertex first"
+            )
+        raise KeyError(u)
+
+    def __contains__(self, u: object) -> bool:
+        return u in self._rows()._index
+
+    def __iter__(self):
+        return iter(self._rows()._ids_list)
+
+    def __len__(self) -> int:
+        return len(self._rows()._ids_list)
+
+    def items(self) -> ItemsView:
+        return _BitmapItems(self)
+
+    def values(self) -> ValuesView:
+        return _BitmapValues(self)
+
+    def update(self, other=()) -> None:
+        """Write many states in one vectorized row scatter."""
+        if not isinstance(other, Mapping):
+            other = dict(other)
+        count = len(other)
+        if not count:
+            return
+        part = self._rows()
+        rows = np.fromiter(map(part._index.__getitem__, other), np.int64,
+                           count=count)
+        part.in_[rows] = np.fromiter(other.values(), np.bool_, count=count)
+
+    def members(self) -> Set[int]:
+        """``{u | u.in}`` straight from the bitmap."""
+        part = self._rows()
+        return set(part.ids[part.in_].tolist())
+
+    def member_count(self) -> int:
+        return int(np.count_nonzero(self._rows().in_))
+
+
+class _BitmapItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        part = self._mapping._rows()
+        return zip(part._ids_list, part.in_.tolist())
+
+
+class _BitmapValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._rows().in_.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +894,7 @@ def finish_barrier(part, kernel, extras, changed, record, dgraph):
     charged the piggybacked activation entry (every OIMIS activation
     source changed state, so it is always in the synced set).  Returns
     the next active vertex ids, ascending and deduplicated.  Must run
-    *after* the barrier committed (``apply_new_states``) — the predicate
+    *after* the barrier committed its rows to the bitmap — the predicate
     and the piggyback rule read post-commit state.
     """
     from repro.pregel.metrics import (

@@ -22,6 +22,9 @@ no extra dependencies).  The process model:
   undo on the workers — they never saw it.  Any out-of-band state edit
   between runs (batch drivers creating implicit vertices, checkpoint
   restores) is caught by an O(n) mirror diff in :meth:`begin_run`.
+  Runs whose sweeps are array-native (CSR frame, no replica read) skip
+  the diff and the per-barrier mirror update entirely: the mirror then
+  lags, and the next replica run's diff ships everything it missed.
 - The barrier merge is **deterministic**: per-process replies are reduced
   in partition order and re-sorted by vertex id, which is exactly the
   inline sweep order (the active list is ascending).  Compute/meter sums
@@ -401,6 +404,9 @@ class ParallelRuntime(ExecutionBackend):
         self._init_kind: Optional[str] = None
         #: (segment name, epoch) of the CSR frame meta the workers hold
         self._csr_shipped: Optional[Tuple[str, int]] = None
+        #: whether the current run sweeps the workers' replica (dict-path
+        #: sweeps) rather than the shared CSR frame
+        self._replica_run = True
         # pipe-traffic accounting (bytes actually pickled per direction);
         # reset via reset_frame_stats(), read via frame_stats()
         self.frames_sent = 0
@@ -477,8 +483,12 @@ class ParallelRuntime(ExecutionBackend):
 
     def begin_run(self, program, states: Dict[int, Any]) -> None:
         self._current_program = program
-        # mirror diff: catch every out-of-band state edit since the last
-        # commit (implicit vertex creation, checkpoint restores, rollback)
+        self._replica_run = not self._array_sweeps(self._engine)
+        if not self._replica_run:
+            return
+        # mirror diff: catch every state edit since the last replica run
+        # (array-native runs, implicit vertex creation, checkpoint
+        # restores, rollback)
         mirror = self._mirror
         upserts = self._pending_upserts
         if len(mirror) != len(states) or mirror.keys() != states.keys():
@@ -497,7 +507,7 @@ class ParallelRuntime(ExecutionBackend):
                 self._pending_removals.discard(u)
 
     def commit(self, new_states: Dict[int, Any]) -> None:
-        if not new_states:
+        if not new_states or not self._replica_run:
             return
         self._pending_upserts.update(new_states)
         self._mirror.update(new_states)
@@ -698,10 +708,10 @@ class ParallelRuntime(ExecutionBackend):
                 for p in range(len(self._conns)):
                     self._recv_ok(p)
                 # the snapshot already contains every buffered mutation; the
-                # states replica starts empty and fills from the mirror-diff
-                # upserts queued by begin_run — or, on an upgrade from a
-                # light (array-sweeps-only) pool, from the whole mirror,
-                # because light mode never shipped any states
+                # states replica starts empty and fills from the whole
+                # mirror, which this replica run's begin_run diff brought
+                # up to the engine's current states (a light pool never
+                # shipped any)
                 self._pending_ops.clear()
                 self._pending_upserts = dict(self._mirror)
                 self._pending_removals.clear()
@@ -827,15 +837,20 @@ class ParallelRuntime(ExecutionBackend):
         return (delays, sorted(lost), sorted(crashed))
 
     # -- sweeps ----------------------------------------------------------
+    @staticmethod
+    def _array_sweeps(engine) -> bool:
+        """Whether ``engine``'s run sweeps the shared CSR frame: a kernel
+        on the typed-delta fast path (no faults, so no pre-drawn
+        barriers)."""
+        return (getattr(engine, "_csr_kernel", None) is not None
+                and getattr(engine, "_csr_fast", False))
+
     def sweep_scaleg(self, active, superstep: int, draws=None) -> ScaleGSweep:
         engine = self._engine
-        kernel = getattr(engine, "_csr_kernel", None)
-        if (
-            kernel is not None
-            and getattr(engine, "_csr_fast", False)
-            and draws is None
-        ):
-            return self._sweep_scaleg_csr(engine, kernel, active, superstep)
+        if self._array_sweeps(engine) and draws is None:
+            return self._sweep_scaleg_csr(
+                engine, engine._csr_kernel, active, superstep
+            )
         self._ensure_workers()
         self.sweeps_dispatched += 1
         num_workers = engine.dgraph.num_workers
@@ -897,12 +912,10 @@ class ParallelRuntime(ExecutionBackend):
         self._ensure_workers(full_init=False)
         self.sweeps_dispatched += 1
         if self._init_kind == "light":
-            # replica deltas are irrelevant to array sweeps; drop them so
-            # the buffers stay bounded (the mirror stays authoritative —
-            # an upgrade to a full pool reships it wholesale)
+            # graph ops are irrelevant to array sweeps; drop them so the
+            # buffer stays bounded (an upgrade to a full pool ships a
+            # fresh graph snapshot)
             self._pending_ops.clear()
-            self._pending_upserts.clear()
-            self._pending_removals.clear()
         a = part.index_of(active)
         meta = part.publish_shared()
         token = (meta[0], meta[1])

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import (
@@ -246,6 +246,9 @@ class ScaleGResult:
 
     states: Dict[int, Any]
     metrics: RunMetrics
+    #: run-entry value of every state the run overwrote (a vertex whose
+    #: state changed and changed back is listed too)
+    overwritten: Dict[int, Any] = field(default_factory=dict)
 
 
 class ScaleGEngine:
@@ -354,7 +357,11 @@ class ScaleGEngine:
         """Run ``program`` until no vertex is active.
 
         ``initial_active`` defaults to all vertices (static computation).
-        ``states`` resumes from existing states (dynamic maintenance).
+        ``states`` resumes from existing states (dynamic maintenance).  On
+        the CSR path, passing the partition's own
+        :class:`~repro.graph.csr.CSRStates` runs on the bitmap with no
+        copy; any other dict is bulk loaded into the bitmap at entry and
+        receives the overwritten entries back on success.
         ``metrics`` lets callers accumulate multiple runs into one meter.
         ``keep_records`` disables per-superstep record retention for very
         long update streams (the aggregate counters still accumulate).
@@ -376,7 +383,7 @@ class ScaleGEngine:
             states = {
                 u: program.initial_state(self.dgraph, u) for u in graph.vertices()
             }
-        self._states = states
+        caller_states = states
         if max_supersteps is None:
             max_supersteps = 4 * max(graph.num_vertices, 1) + 16
 
@@ -420,7 +427,9 @@ class ScaleGEngine:
 
             part = CSRPartition.attach(dgraph)
             part.ensure()
-            part.sync_states(states)
+            if states is not part.states:
+                part.sync_states(states)  # a dict from outside: bulk load
+                states = part.states
             self._csr = part
             self._csr_kernel = kernel
             # typed-delta barriers only when nothing needs the standard
@@ -436,6 +445,7 @@ class ScaleGEngine:
             self._ranked = None
         else:
             self._ranked = program.rank_cache(graph)
+        self._states = states
         runtime = self._runtime
         runtime.bind(self)
         runtime.begin_run(program, states)
@@ -576,8 +586,6 @@ class ScaleGEngine:
                         checkpoint, states, own_metrics, program.sync_bytes,
                     )
                     active = checkpoint.restore(states)
-                    if self._csr is not None:
-                        self._csr.sync_states(states)
                     if targets:
                         self._recovery_sweep(
                             program, targets, superstep, own_metrics
@@ -602,8 +610,6 @@ class ScaleGEngine:
                     own_metrics.recovery_resync_bytes += rebuild_bytes
                     own_metrics.recovery_resync_messages += rebuild_records
                     active = checkpoint.restore(states)
-                    if self._csr is not None:
-                        self._csr.sync_states(states)
                     continue
 
                 if contracts is not None:
@@ -613,8 +619,6 @@ class ScaleGEngine:
                         dirty[u] = states[u]
                 states.update(new_states)
                 runtime.commit(new_states)
-                if self._csr is not None:
-                    self._csr.apply_new_states(new_states)
 
                 if sweep.csr is not None:
                     # array fast path: sync + activation charging from the
@@ -742,6 +746,9 @@ class ScaleGEngine:
             if sanitizer is not None:
                 sanitizer.end_engine_run(own_metrics)
 
+        if states is not caller_states:
+            for u in dirty:
+                caller_states[u] = states[u]
         if self._contracts is not None:
             members = program.contract_members(states)
             if members is not None:
@@ -750,7 +757,8 @@ class ScaleGEngine:
         per_worker = self._memory_snapshot(program, states)
         own_metrics.observe_memory(per_worker)
         own_metrics.wall_time_s += time.perf_counter() - started
-        return ScaleGResult(states=states, metrics=own_metrics)
+        return ScaleGResult(states=caller_states, metrics=own_metrics,
+                            overwritten=dirty)
 
     # ------------------------------------------------------------------
     def _apply_membership_transitions(

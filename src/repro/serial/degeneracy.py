@@ -29,6 +29,7 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.updates import EdgeDeletion, EdgeInsertion, EdgeUpdate
 from repro.serial.greedy import greedy_mis_arbitrary_order
 from repro.serial.memory_model import DG_ONE_MODEL, DG_TWO_MODEL, MemoryModel
+from repro.util import membership_delta
 
 
 def degeneracy_order(graph: DynamicGraph) -> List[int]:
@@ -129,9 +130,13 @@ class DGOne:
         else:
             raise TypeError(f"unsupported operation {op!r}")
 
-    def apply_batch(self, operations: Sequence[EdgeUpdate]) -> None:
+    def apply_batch(
+        self, operations: Sequence[EdgeUpdate]
+    ) -> Tuple[Set[int], Set[int]]:
+        before = set(self.members)
         for op in operations:
             self.apply(op)
+        return membership_delta(before, self.members)
 
     def apply_stream(self, operations: Iterable[EdgeUpdate], batch_size: int = 1) -> None:
         # Centralized algorithms process updates one at a time regardless of

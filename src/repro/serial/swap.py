@@ -32,6 +32,7 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.updates import EdgeDeletion, EdgeInsertion, EdgeUpdate
 from repro.serial.greedy import greedy_mis
 from repro.serial.memory_model import LAZY_SWAP_MODEL, SWAP_MODEL, MemoryModel
+from repro.util import membership_delta
 
 #: candidate-pool bound for the cubic (2,3)-swap search; pools this large
 #: essentially always contain an independent triple already
@@ -208,9 +209,13 @@ class DOSwap:
         else:
             raise TypeError(f"unsupported operation {op!r}")
 
-    def apply_batch(self, operations: Sequence[EdgeUpdate]) -> None:
+    def apply_batch(
+        self, operations: Sequence[EdgeUpdate]
+    ) -> Tuple[Set[int], Set[int]]:
+        before = set(self._engine.members)
         for op in operations:
             self.apply(op)
+        return membership_delta(before, self._engine.members)
 
     def apply_stream(self, operations: Iterable[EdgeUpdate], batch_size: int = 1) -> None:
         for op in operations:

@@ -17,10 +17,12 @@ right after every WAL commit).  Two backings, chosen automatically:
   into a fresh segment, and the pinned segment is unlinked only when the
   last reader retires its pin.  Readers never block the writer; the
   writer never mutates a published epoch.
-- **local** — for dict/inline maintainers the registry keeps private
-  array copies: structure arrays are re-copied only when the CSR
-  mirror's ``structure_version`` moved, the membership bitmap is rebuilt
-  from ``independent_set()`` per epoch.
+- **local** — otherwise the registry keeps private array copies:
+  structure arrays are re-copied only when the CSR mirror's
+  ``structure_version`` moved; the membership bitmap is a copy of the
+  partition's own bitmap when that bitmap is the maintainer's state (a
+  CSR maintainer), and is rebuilt from ``independent_set()`` for a
+  dict-path maintainer.
 
 :class:`QueryEngine` answers queries against the newest snapshot:
 point membership, numpy-vectorized batch lookups (thousands of point
@@ -29,9 +31,10 @@ certificates — for a non-member ``v``, the blocking neighbour is the
 minimum-``≺``-key in-set neighbour ranked below ``v`` (the exact vertex
 Algorithm 2's early-break scan stops at; at a fixpoint one always
 exists).  Every answer is tagged with the epoch it was served from, and
-the engine accounts read latency (nearest-rank percentiles via
-:func:`repro.util.percentile`) and ingress staleness (events admitted
-but not yet visible at the answering epoch).
+the engine accounts read latency (a fixed-memory
+:class:`LatencyHistogram`: nearest-rank percentiles at 1/32
+relative resolution) and ingress staleness (events admitted but not yet
+visible at the answering epoch).
 
 Consistency model: an epoch is a committed-window barrier snapshot, so
 every query result is bit-identical to querying a maintainer restored to
@@ -40,17 +43,79 @@ that window's checkpoint — the property the read-path tests pin.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import QueryError
 from repro.graph.csr import CSRPartition, WorkerCSRView, numpy_available
-from repro.util import percentile
 
 try:  # optional at import time, like repro.graph.csr
     import numpy as np
 except ImportError:  # pragma: no cover - exercised only without numpy
     np = None
+
+
+class LatencyHistogram:
+    """Fixed-bucket log-scale histogram of durations in seconds.
+
+    HdrHistogram's layout: every power-of-two octave from 2^-30 s (about
+    1 ns) to 2^8 s splits into :attr:`SUB_BUCKETS` equal-width buckets,
+    so memory is a fixed ~1,200 counters however many samples arrive.
+    Samples are binned in batches (:meth:`add`, one vectorized pass).
+    :meth:`percentile` keeps nearest-rank semantics at bucket resolution:
+    it returns the upper edge of the bucket holding the nearest-rank
+    sample, capped at the largest sample seen — never below the exact
+    nearest-rank value and at most 1/32 (3.1%) above it.  Samples outside
+    the range count in the first or last bucket.
+    """
+
+    SUB_BUCKETS = 32
+    MIN_EXP = -29  # frexp exponent of the first octave, [2^-30, 2^-29)
+    MAX_EXP = 8
+
+    def __init__(self) -> None:
+        size = (self.MAX_EXP - self.MIN_EXP + 1) * self.SUB_BUCKETS
+        self.counts = np.zeros(size, np.int64)
+        self.count = 0
+        #: sum of all samples (seconds)
+        self.total = 0.0
+        self.max = 0.0
+
+    def add(self, samples: List[float]) -> None:
+        """Bin a batch of samples."""
+        if not samples:
+            return
+        values = np.array(samples, np.float64)
+        self.count += int(values.size)
+        self.total += float(values.sum())
+        self.max = max(self.max, float(values.max()))
+        mant, exp = np.frexp(values)  # mant in [0.5, 1) for values > 0
+        sub = self.SUB_BUCKETS
+        index = ((exp.astype(np.int64) - self.MIN_EXP) * sub
+                 + ((mant - 0.5) * (2 * sub)).astype(np.int64))
+        index[values <= 0.0] = 0
+        np.clip(index, 0, self.counts.size - 1, out=index)
+        self.counts += np.bincount(index, minlength=self.counts.size)
+
+    def percentile(self, q: float) -> float:
+        """Nearest-rank percentile at bucket resolution (0.0 when empty)."""
+        if not self.count:
+            return 0.0
+        if not 0.0 < q <= 1.0:
+            raise QueryError(f"percentile q must be in (0, 1], got {q}")
+        rank = math.ceil(q * self.count)
+        index = int(np.searchsorted(np.cumsum(self.counts), rank))
+        octave, step = divmod(index, self.SUB_BUCKETS)
+        upper = math.ldexp(0.5 + (step + 1) / (2 * self.SUB_BUCKETS),
+                           octave + self.MIN_EXP)
+        return min(upper, self.max)
+
+
+#: query latencies a :class:`QueryEngine` buffers before binning them:
+#: fixed memory (~256 KB), and the binning pass (well under a
+#: millisecond) lands on one read in this many, far out in the tail
+_LATENCY_BATCH = 8192
 
 
 class EpochSnapshot:
@@ -205,13 +270,16 @@ class SnapshotRegistry:
             )
             self._struct_version = part.structure_version
         ids, keys, indptr, nbr = self._struct
-        members = sorted(self._maintainer.independent_set())
-        in_ = np.zeros(ids.size, np.bool_)
-        if members:
-            rows = np.searchsorted(
-                ids, np.fromiter(members, np.int64, count=len(members))
-            )
-            in_[rows] = True
+        if getattr(self._maintainer, "state_partition", None) is part:
+            in_ = np.array(part.in_)  # the bitmap is the maintainer's state
+        else:
+            members = sorted(self._maintainer.independent_set())
+            in_ = np.zeros(ids.size, np.bool_)
+            if members:
+                rows = np.searchsorted(
+                    ids, np.fromiter(members, np.int64, count=len(members))
+                )
+                in_[rows] = True
         return EpochSnapshot(
             epoch, watermark, False, None, None,
             ids, keys, indptr, nbr, in_,
@@ -281,7 +349,8 @@ class QueryEngine:
     Single-threaded like everything in this repo: each call fetches the
     newest snapshot, so answers always come from the last committed
     window.  The engine keeps deterministic read counters (what the bench
-    pins) and wall-clock latencies (what the bench trends).
+    pins) and a wall-clock latency histogram (what the bench trends; its
+    memory stays fixed however many queries are served).
     """
 
     def __init__(self, registry: SnapshotRegistry):
@@ -295,10 +364,15 @@ class QueryEngine:
         self.staleness_max = 0
         self.staleness_sum = 0
         self.staleness_samples = 0
+        #: read latencies not yet binned into :attr:`_latency` (at most
+        #: ``_LATENCY_BATCH``: every query bins a full buffer first)
         self._latencies: List[float] = []
+        self._latency = LatencyHistogram()
 
     # -- bookkeeping -----------------------------------------------------
     def _snapshot(self) -> EpochSnapshot:
+        if len(self._latencies) >= _LATENCY_BATCH:
+            self._bin_latencies()
         snapshot = self._registry.latest()
         if snapshot is None:
             raise QueryError("no epoch published yet")
@@ -308,6 +382,10 @@ class QueryEngine:
         self.staleness_sum += staleness
         self.staleness_samples += 1
         return snapshot
+
+    def _bin_latencies(self) -> None:
+        self._latency.add(self._latencies)
+        self._latencies = []
 
     @property
     def reads_served(self) -> int:
@@ -470,7 +548,8 @@ class QueryEngine:
 
     def read_stats(self) -> Dict[str, Any]:
         """Everything :meth:`logical_stats` has, plus the epoch frontier
-        and nearest-rank read-latency percentiles (milliseconds)."""
+        and read-latency percentiles in milliseconds (nearest rank at the
+        histogram's resolution: at most 1/32 above the exact value)."""
         stats: Dict[str, Any] = dict(self.logical_stats())
         latest = self._registry.latest()
         if latest is not None:
@@ -483,10 +562,11 @@ class QueryEngine:
             stats["epoch"], stats["watermark"] = self._registry.history[-1]
         else:
             stats["epoch"] = stats["watermark"] = None
-        lat = sorted(self._latencies)
+        self._bin_latencies()
+        latency = self._latency
         for tag, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
-            stats[f"latency_{tag}_ms"] = round(percentile(lat, q) * 1e3, 6)
-        total = sum(lat)
+            stats[f"latency_{tag}_ms"] = round(latency.percentile(q) * 1e3, 6)
+        total = latency.total
         stats["reads_per_s"] = (
             round(self.reads_served / total, 3) if total > 0 else 0.0
         )

@@ -21,6 +21,7 @@ recognizably so in a dead-letter log.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -82,8 +83,11 @@ def bursty_trace(
     if len(vertices) < 2:
         raise WorkloadError("bursty_trace needs a graph with >= 2 vertices")
     poison_base = (max(vertices) if vertices else 0) + POISON_ID_GAP
-    # the edge state the stream implies, mutated only by valid operations
-    present = set(graph.sorted_edges())
+    # the edge state the stream implies, mutated only by valid operations:
+    # a set for membership tests plus the same edges as a sorted list, so
+    # a deletion draws by index without re-sorting the set
+    ordered = graph.sorted_edges()
+    present = set(ordered)
     ops: List[EdgeUpdate] = []
     timestamps: List[float] = []
     now = 0.0
@@ -104,7 +108,7 @@ def bursty_trace(
             timestamps.append(now)
             poison_emitted += 1
             continue
-        op = _valid_op(rng, vertices, present, cfg.insert_ratio)
+        op = _valid_op(rng, vertices, present, ordered, cfg.insert_ratio)
         if op is None:
             # degenerate state (complete or empty graph): skip this slot
             continue
@@ -113,7 +117,8 @@ def bursty_trace(
     return ops, timestamps
 
 
-def _valid_op(rng, vertices, present, insert_ratio) -> Optional[EdgeUpdate]:
+def _valid_op(rng, vertices, present, ordered,
+              insert_ratio) -> Optional[EdgeUpdate]:
     from repro.graph.dynamic_graph import normalize_edge
 
     want_insert = rng.random() < insert_ratio
@@ -123,12 +128,14 @@ def _valid_op(rng, vertices, present, insert_ratio) -> Optional[EdgeUpdate]:
             edge = normalize_edge(u, v)
             if edge not in present:
                 present.add(edge)
+                insort(ordered, edge)
                 return EdgeInsertion(*edge)
         want_insert = False  # dense neighbourhood: fall through to delete
-    if present:
-        # deterministic choice from the tracked edge set (sorted: set
-        # iteration order must never leak into a seeded trace)
-        edge = rng.choice(sorted(present))
+    if ordered:
+        # deterministic choice from the tracked edge set in sorted order
+        # (set iteration order must never leak into a seeded trace)
+        edge = rng.choice(ordered)
+        del ordered[bisect_left(ordered, edge)]
         present.discard(edge)
         return EdgeDeletion(*edge)
     return None

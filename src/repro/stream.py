@@ -11,7 +11,8 @@ with the ``apply_batch`` interface and provides:
 - **membership deltas** — each flushed window reports exactly which
   vertices entered/left the maintained set, so applications (alerting,
   cache invalidation, reward accounting) react to changes instead of
-  re-reading the whole set;
+  re-reading the whole set.  The delta is the maintainer's own
+  ``apply_batch`` report, so a window costs O(churn), not O(|set|);
 - **history** — per-window cost accounting (ops, supersteps,
   communication), the stream-level counterpart of the paper's Fig. 13
   measurements.
@@ -65,10 +66,13 @@ class StreamingSession:
     Parameters
     ----------
     maintainer:
-        Anything with ``apply_batch(ops)`` / ``independent_set()`` /
-        ``update_metrics`` — a :class:`~repro.core.maintainer.MISMaintainer`,
-        any baseline from :func:`~repro.core.baselines.make_algorithm`, or
-        the weighted maintainer.
+        Anything with ``apply_batch(ops)`` returning the membership change
+        ``(entered, left)`` / ``independent_set()`` / ``update_metrics`` —
+        a :class:`~repro.core.maintainer.MISMaintainer`, any baseline from
+        :func:`~repro.core.baselines.make_algorithm`, or the weighted
+        maintainer.  The session must be the only caller of
+        ``apply_batch`` while it is open (each call hands over the change
+        since the previous one).
     window_size:
         Flush after this many buffered operations (default 100).
     window_interval:
@@ -222,7 +226,7 @@ class StreamingSession:
         ops = list(self._buffer)
         started_at = self._window_start_ts
         try:
-            self.maintainer.apply_batch(ops)
+            entered, left = self.maintainer.apply_batch(ops)
         except BaseException:
             # the maintainer rolled back (apply_batch is atomic); keep the
             # buffer so the caller may drop/repair/retry the window
@@ -248,13 +252,15 @@ class StreamingSession:
             raise
         self._buffer = []
         self._window_start_ts = None
-        current = set(self.maintainer.independent_set())
+        membership = self._membership
+        membership -= left
+        membership |= entered
         report = WindowReport(
             index=len(self.history),
             operations=len(ops),
-            set_size=len(current),
-            entered=current - self._membership,
-            left=self._membership - current,
+            set_size=len(membership),
+            entered=entered,
+            left=left,
             supersteps=metrics.supersteps - before[0],
             communication_mb=(metrics.bytes_sent - before[1]) / (1024.0 * 1024.0),
             wall_time_s=metrics.wall_time_s - before[2],
@@ -262,7 +268,6 @@ class StreamingSession:
             - failovers_before,
             started_at=started_at,
         )
-        self._membership = current
         self.history.append(report)
         if self.on_window is not None:
             self.on_window(report)

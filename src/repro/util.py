@@ -1,15 +1,15 @@
 """Small shared helpers with no heavyweight intra-repo dependencies.
 
 :func:`percentile` started life inside :mod:`repro.stream` (per-window
-wall-latency summaries); the read path needs the identical nearest-rank
-summary for query latencies, so the single implementation lives here and
-both call sites import it.
+wall-latency summaries); ``bench-perf`` takes the same nearest-rank
+summary.  :func:`membership_delta` is the ``apply_batch`` report shared by
+the maintainers that recompute their whole set per batch.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Sequence, Set, Tuple
 
 from repro.errors import WorkloadError
 
@@ -23,3 +23,11 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
         raise WorkloadError(f"percentile q must be in (0, 1], got {q}")
     rank = math.ceil(q * len(sorted_values))
     return sorted_values[rank - 1]
+
+
+def membership_delta(
+    before: Set[int], after: Set[int]
+) -> Tuple[Set[int], Set[int]]:
+    """``(entered, left)`` between two member sets — the ``apply_batch``
+    report of maintainers that recompute their whole set anyway."""
+    return after - before, before - after

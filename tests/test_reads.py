@@ -230,6 +230,40 @@ class TestQueryEngine:
         for tag in ("p50", "p95", "p99"):
             assert stats[f"latency_{tag}_ms"] >= 0.0
 
+    def test_latency_memory_stays_bounded(self, served):
+        from repro.serve.reads import _LATENCY_BATCH
+
+        _, engine = served
+        size = engine._latency.counts.size
+        for i in range(3 * _LATENCY_BATCH):
+            engine.point(i % 7)
+            assert len(engine._latencies) <= _LATENCY_BATCH
+        assert engine._latency.counts.size == size
+        stats = engine.read_stats()
+        assert engine._latency.count == 3 * _LATENCY_BATCH
+        assert 0.0 < stats["latency_p50_ms"] <= stats["latency_p99_ms"]
+
+
+class TestLatencyHistogram:
+    def test_nearest_rank_within_bucket_resolution(self):
+        import random
+
+        from repro.serve.reads import LatencyHistogram
+        from repro.util import percentile
+
+        rng = random.Random(5)
+        samples = [rng.lognormvariate(-10, 2) for _ in range(5000)]
+        hist = LatencyHistogram()
+        hist.add(samples[:1000])
+        hist.add(samples[1000:])
+        exact = sorted(samples)
+        for q in (0.01, 0.5, 0.9, 0.99, 0.999, 1.0):
+            want = percentile(exact, q)
+            got = hist.percentile(q)
+            assert want <= got <= want * (1 + 1 / LatencyHistogram.SUB_BUCKETS)
+        assert hist.count == len(samples)
+        assert hist.total == pytest.approx(sum(samples))
+        assert LatencyHistogram().percentile(0.5) == 0.0
 
 # ---------------------------------------------------------------------------
 # service wiring: epochs at commits, recovery, staleness, membership

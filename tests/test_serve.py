@@ -322,6 +322,34 @@ class TestTrace:
             else:
                 work.remove_edge(op.u, op.v)
 
+    def test_matches_the_sort_per_deletion_reference(self, monkeypatch):
+        # deletions draw by index from a bisect-maintained sorted edge
+        # list; the reference re-sorts the whole edge set per deletion
+        import repro.serve.trace as trace_module
+        from repro.graph.dynamic_graph import normalize_edge
+
+        def reference(rng, vertices, present, ordered, insert_ratio):
+            if rng.random() < insert_ratio:
+                for _ in range(32):
+                    edge = normalize_edge(*rng.sample(vertices, 2))
+                    if edge not in present:
+                        present.add(edge)
+                        return EdgeInsertion(*edge)
+            if present:
+                edge = rng.choice(sorted(present))
+                present.discard(edge)
+                return EdgeDeletion(*edge)
+            return None
+
+        graph = load_dataset("SL")
+        configs = [TraceConfig(num_ops=300, seed=seed, insert_ratio=ratio,
+                               poison_prob=poison)
+                   for seed, ratio, poison in ((0, 0.5, 0.0), (7, 0.2, 0.05),
+                                               (11, 0.8, 0.05))]
+        fast = [bursty_trace(graph, cfg) for cfg in configs]
+        monkeypatch.setattr(trace_module, "_valid_op", reference)
+        assert fast == [bursty_trace(graph, cfg) for cfg in configs]
+
     def test_needs_two_vertices(self):
         from repro.graph.dynamic_graph import DynamicGraph
 
