@@ -109,9 +109,11 @@ def _print_metrics(label: str, metrics) -> None:
 # ---------------------------------------------------------------------------
 def _cmd_compute(args: argparse.Namespace) -> int:
     representation = getattr(args, "representation", None)
-    if representation == "csr" and args.algorithm != "oimis":
+    if representation == "csr" and (
+        args.algorithm != "oimis" or args.engine == "pregel"
+    ):
         print("error: --representation csr is only supported for "
-              "--algorithm oimis", file=sys.stderr)
+              "--algorithm oimis on --engine scaleg", file=sys.stderr)
         return 2
     graph = read_edge_list(args.graph)
     print(f"loaded {graph}")
@@ -121,7 +123,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             if args.engine == "pregel":
                 run = run_oimis_pregel(
                     graph, num_workers=args.workers, runtime=runtime,
-                    representation=representation,
                 )
             else:
                 run = run_oimis(
@@ -894,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument(
         "--representation", choices=("dict", "csr"), default=None,
         help="partition-local layout: dict (reference, default) or csr "
-        "(flat numpy arrays; bit-identical meters, oimis only; "
+        "(flat numpy arrays; bit-identical meters, oimis on scaleg only; "
         "default from REPRO_REPRESENTATION)",
     )
     compute.add_argument("--output", "-o", help="write member ids to this file")

@@ -210,19 +210,16 @@ def run_oimis_pregel(
     partitioner=None,
     metrics: Optional[RunMetrics] = None,
     runtime=None,
-    representation=None,
 ) -> "OIMISRun":
     """Compute the independent set with the message-passing variant.
 
-    ``representation`` is accepted for engine parity; the message-passing
-    variant keeps per-vertex dict states (the broadcast cache), so it
-    validates the flag and stays on the dict hot path.
+    The message-passing variant keeps per-vertex dict states (the
+    broadcast cache), so it always runs the dict hot path.
     """
     dgraph = DistributedGraph(
         graph, partitioner or HashPartitioner(num_workers)
     )
-    engine = PregelEngine(dgraph, runtime=runtime,
-                          representation=representation)
+    engine = PregelEngine(dgraph, runtime=runtime)
     try:
         result = engine.run(OIMISPregelProgram(), metrics=metrics)
     finally:

@@ -120,6 +120,12 @@ class WeightedOIMISProgram(OIMISProgram):
         self.weights = weights
         self._rank_cache = None
 
+    def csr_kernel(self):
+        """``None``: the inherited :class:`~repro.graph.csr.OIMISKernel`
+        scans in the unweighted ``≺``, so the weighted program keeps the
+        dict path under ``representation="csr"``."""
+        return None
+
     def rank_cache(self, graph: DynamicGraph):
         """A cache in GWMIN order: ascending ``(-w/(deg+1), -w, id)``.
 

@@ -18,7 +18,7 @@ The injector is the mutable half of the fault layer: it wraps a pure
   :class:`~repro.errors.SyncRetryExhausted`.
 
 One injector may serve many engine runs (an update stream), and both
-engines accept it through their constructors or ``run(..., faults=...)``.
+engines accept it through their constructors.
 """
 
 from __future__ import annotations

@@ -25,12 +25,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set
 
-from repro.errors import (
-    SuperstepLimitExceeded,
-    SyncRetryExhausted,
-    WorkerFailure,
-    WorkerLoss,
-)
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -38,7 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.pregel.aggregator import Aggregator, AggregatorRegistry
 from repro.pregel.combiner import Combiner
 from repro.pregel.message import Message
-from repro.pregel.metrics import RunMetrics, SuperstepRecord
+from repro.pregel.metrics import RunMetrics
+from repro.runtime.bsp import BSPEngine
 
 
 class PregelProgram(ABC):
@@ -155,76 +150,34 @@ class PregelResult:
     aggregates: Dict[str, Any] = field(default_factory=dict)
 
 
-class PregelEngine:
-    """Executes a :class:`PregelProgram` over a :class:`DistributedGraph`."""
+class PregelEngine(BSPEngine):
+    """Executes a :class:`PregelProgram` over a :class:`DistributedGraph`.
+
+    The superstep loop, barrier fault processing and recovery live in
+    :class:`~repro.runtime.bsp.BSPEngine`; this class adds message
+    delivery (combiner, cost accounting), inbox resync and degraded
+    failover, and aggregators.
+    """
 
     def __init__(self, dgraph: "DistributedGraph", contracts=None, faults=None,
-                 membership=None, runtime=None, sanitize=None,
-                 representation=None):
-        """``contracts``: ``None`` defers to the ``REPRO_CONTRACTS`` env
-        flag, ``True``/``False`` force runtime contract checking on/off, or
-        pass a :class:`~repro.analysis.runtime.ContractChecker` directly.
-        ``faults``: a :class:`~repro.faults.plan.FaultPlan` or
-        :class:`~repro.faults.injector.FaultInjector` enabling seeded fault
-        injection + recovery; ``None`` (or an empty plan) leaves the run
-        loop exactly as in the fault-free build.
-        ``membership``: a :class:`~repro.faults.membership.MembershipConfig`
-        or :class:`~repro.faults.membership.FailoverCoordinator` enabling
-        permanent-loss failover (degraded: no guest copies exist here, so
-        lost partitions reload from the barrier checkpoint); ``None``
-        auto-attaches a default coordinator when the plan schedules
-        losses.
-        ``runtime``: execution backend for the compute sweep — ``None`` /
-        ``"inline"`` (serial, the default), ``"process"``, or an
-        :class:`~repro.runtime.base.ExecutionBackend` instance.
-        ``sanitize``: ``None`` defers to the ``REPRO_SANITIZE`` env flag,
-        ``True``/``False`` force the superstep race sanitizer on/off, or
-        pass a :class:`~repro.analysis.parallel.RaceSanitizer` directly.
-        ``representation``: accepted (and validated) for parity with
-        :class:`~repro.scaleg.engine.ScaleGEngine`; the Pregel message
-        discipline keeps per-vertex message payloads and arbitrary state
-        dicts, so ``"csr"`` currently documents intent only — the sweep
-        stays on the dict reference path."""
-        from repro.analysis.parallel.sanitizer import resolve_sanitizer
-        from repro.analysis.runtime import resolve_contracts
-        from repro.faults.injector import resolve_faults
-        from repro.faults.membership import resolve_membership
-        from repro.graph.csr import resolve_representation
-        from repro.runtime import resolve_runtime
-
-        self.dgraph = dgraph
-        self._representation = resolve_representation(representation)
+                 membership=None, runtime=None, sanitize=None):
+        """Arguments as for :class:`~repro.runtime.bsp.BSPEngine`.
+        ``membership`` failover here is degraded: no guest copies exist,
+        so lost partitions reload from the barrier checkpoint.  The
+        message discipline keeps per-vertex message payloads and arbitrary
+        state dicts, so sweeps always run the dict reference path."""
+        super().__init__(dgraph, contracts=contracts, faults=faults,
+                         membership=membership, runtime=runtime,
+                         sanitize=sanitize)
         self._outbox: List[Message] = []
         self._aggregators = AggregatorRegistry()
-        self._contracts = resolve_contracts(contracts)
-        self._faults = resolve_faults(faults)
-        self._membership = membership
-        self._failover = resolve_membership(membership, self._faults, dgraph)
-        self._sanitizer = resolve_sanitizer(sanitize)
-        backend = resolve_runtime(runtime)
-        if self._sanitizer is not None:
-            backend = self._sanitizer.wrap(backend)
-        self._runtime = backend
-
-    @property
-    def failover(self):
-        """The attached failover coordinator (``None`` when neither the
-        fault plan nor the caller asked for membership tracking)."""
-        return self._failover
-
-    @property
-    def runtime(self):
-        """The execution backend driving this engine's compute sweeps."""
-        return self._runtime
-
-    @property
-    def sanitizer(self):
-        """The attached race sanitizer (``None`` when sanitizing is off)."""
-        return self._sanitizer
-
-    def close(self) -> None:
-        """Release the execution backend's resources (worker processes)."""
-        self._runtime.close()
+        self._combiner: Optional[Combiner] = None
+        #: payloads delivered to each destination at the last barrier
+        self._inbox: Dict[int, List[Any]] = {}
+        #: wire bytes delivered per destination at the last barrier — the
+        #: cost of re-fetching a crashed worker's inbox from the senders'
+        #: logs (kept only on fault runs)
+        self._inbox_bytes: Dict[int, int] = {}
 
     def run(
         self,
@@ -234,7 +187,6 @@ class PregelEngine:
         states: Optional[Dict[int, Any]] = None,
         metrics: Optional[RunMetrics] = None,
         keep_records: bool = True,
-        faults=None,
     ) -> PregelResult:
         """Run ``program`` to quiescence and return states + metrics.
 
@@ -248,8 +200,6 @@ class PregelEngine:
         ``wall_time_s`` accumulates instead of being overwritten.
         ``keep_records`` retains per-superstep records on the meter.
 
-        ``faults`` overrides the engine's fault injector for this run.
-
         Raises :class:`SuperstepLimitExceeded` if the program does not
         converge within ``max_supersteps`` (default ``4n + 16``, safely above
         the paper's ``O(n)`` bound).
@@ -258,299 +208,102 @@ class PregelEngine:
         restored to its value at run entry — no partially converged
         superstep leaks into a caller's resumed states.
         """
-        from repro.faults.injector import resolve_faults
-
-        graph = self.dgraph.graph
-        if metrics is None:
-            metrics = RunMetrics(num_workers=self.dgraph.num_workers)
         started = time.perf_counter()
-
-        if states is None:
-            states = {
-                u: program.initial_state(self.dgraph, u) for u in graph.vertices()
-            }
-        if max_supersteps is None:
-            max_supersteps = 4 * max(graph.num_vertices, 1) + 16
-
+        states, active, max_supersteps, metrics = self._run_entry(
+            program, initial_active, max_supersteps, states, metrics
+        )
         self._aggregators = AggregatorRegistry(program.aggregators())
-        combiner = program.combiner()
+        self._combiner = program.combiner()
+        self._inbox = {}
+        self._inbox_bytes = {}
 
-        if initial_active is None:
-            active: List[int] = graph.sorted_vertices()
-        else:
-            active = sorted({u for u in initial_active if graph.has_vertex(u)})
-        if faults is not None:
-            injector = resolve_faults(faults)
-            failover = self._failover
-            if failover is None:
-                from repro.faults.membership import resolve_membership
-
-                failover = resolve_membership(
-                    self._membership, injector, self.dgraph
-                )
-        else:
-            injector = self._faults
-            failover = self._failover
-        if injector is not None:
-            injector.begin_run()
-
-        runtime = self._runtime
-        runtime.bind(self)
-        runtime.begin_run(program, states)
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.begin_engine_run(metrics, self.dgraph.num_workers)
-
-        inbox: Dict[int, List[Any]] = {}
-        #: wire bytes delivered per destination last superstep — the cost of
-        #: re-fetching a crashed worker's inbox from the senders' logs
-        inbox_bytes: Dict[int, int] = {}
-        superstep = 0
-        took_snapshot = False
-        #: run-entry values of every state this run overwrote, restored if
-        #: the run raises (exception safety for resumed maintenance states)
-        dirty: Dict[int, Any] = {}
-        try:
-            while active or inbox:
-                if superstep >= max_supersteps:
-                    raise SuperstepLimitExceeded(max_supersteps)
-                record = SuperstepRecord(superstep=superstep)
-                record.worker_work = [0] * self.dgraph.num_workers
-                self._outbox = []
-                new_states: Dict[int, Any] = {}
-
-                checkpoint = None
-                draws = None
-                if injector is not None:
-                    from repro.faults.recovery import SuperstepCheckpoint
-
-                    checkpoint = SuperstepCheckpoint.capture(
-                        superstep, states, active
-                    )
-                    draws = runtime.predraw(
-                        injector, superstep, self.dgraph.num_workers
-                    )
-
-                if self._contracts is not None:
-                    self._contracts.begin_superstep(superstep, active, states)
-
-                try:
-                    sweep = runtime.sweep_pregel(
-                        states, active, superstep, inbox, draws
-                    )
-                    new_states = sweep.new_states
-                    record.active_vertices = len(active)
-                    record.compute_work = sweep.compute_work
-                    record.worker_work = sweep.worker_work
-                    record.state_changes = len(new_states)
-                    if draws is not None and sweep.fault_echo != draws.echo():
-                        from repro.errors import ParallelRuntimeError
-
-                        raise ParallelRuntimeError(
-                            f"superstep {superstep}: worker fault echo "
-                            f"{sweep.fault_echo!r} does not match the "
-                            f"pre-drawn schedule {draws.echo()!r}"
-                        )
-
-                    if injector is not None:
-                        if failover is not None:
-                            failover.view.advance()
-                        # -- worker sweep: straggler delays (modelled time)
-                        if draws is None:
-                            delays = [
-                                injector.straggler_delay(superstep, w)
-                                for w in range(self.dgraph.num_workers)
-                            ]
-                        else:
-                            delays = draws.delays
-                        for w, delay in enumerate(delays):
-                            if delay:
-                                metrics.merge_delta({
-                                    "recovery_straggler_s": delay,
-                                    "wall_time_s": delay,
-                                })
-                            if failover is not None and not failover.is_dead(w):
-                                # flagged straggler delays never count
-                                # toward suspicion (slow is not dead)
-                                failover.view.heartbeat(
-                                    w, delay_s=delay, injected=True
-                                )
-                        # -- barrier: permanent losses (silence, not delay)
-                        if draws is None:
-                            lost = injector.lost_workers(
-                                superstep, range(self.dgraph.num_workers)
-                            )
-                        else:
-                            lost = draws.lost
-                        if lost:
-                            raise_loss = WorkerLoss(
-                                lost[0], superstep,
-                                f"{len(lost)} worker(s) declared permanently "
-                                "dead at the barrier",
-                            )
-                            raise_loss.workers = lost
-                            raise raise_loss
-                        # -- barrier commit: crash detection
-                        if draws is None:
-                            crashed = injector.crashed_workers(
-                                superstep, range(self.dgraph.num_workers)
-                            )
-                        else:
-                            crashed = draws.crashed
-                        if crashed:
-                            failure = WorkerFailure(
-                                crashed[0], superstep,
-                                f"{len(crashed)} worker(s) crashed at the "
-                                "barrier",
-                            )
-                            failure.workers = crashed
-                            raise failure
-                except SyncRetryExhausted:
-                    raise  # unrecoverable: escalate to the caller
-                except WorkerLoss as loss:
-                    if checkpoint is None or failover is None:
-                        raise  # no membership subsystem: unrecoverable
-                    # degraded failover: no guest copies to reconstruct
-                    # from, so the lost partitions reload from the barrier
-                    # checkpoint; the crashed inboxes are re-fetched from
-                    # the senders' outbox logs like the transient path.
-                    metrics.recovery_replayed_supersteps += 1
-                    metrics.recovery_compute_work += record.compute_work
-                    lost_set = set(loss.workers or [loss.worker])
-                    failover.fail_over_degraded(
-                        lost_set, superstep, checkpoint, states, metrics,
-                        program.state_bytes,
-                    )
-                    for dest, payloads in inbox.items():
-                        if self.dgraph.worker_of(dest) in lost_set:
-                            metrics.recovery_resync_bytes += inbox_bytes.get(
-                                dest, 0
-                            )
-                            metrics.recovery_resync_messages += len(payloads)
-                    active = checkpoint.restore(states)
-                    self._aggregators.reset_current()
-                    continue
-                except WorkerFailure as failure:
-                    if checkpoint is None:
-                        raise  # not injected by us: no checkpoint to replay
-                    # rollback-and-replay: nothing committed.  The crashed
-                    # workers lost their received messages; re-fetch them
-                    # from the senders' outbox logs (charged as resync).
-                    crashed_set = set(getattr(failure, "workers",
-                                              [failure.worker]))
-                    metrics.recovery_crashes += len(crashed_set)
-                    metrics.recovery_replayed_supersteps += 1
-                    metrics.recovery_compute_work += record.compute_work
-                    for dest, payloads in inbox.items():
-                        if self.dgraph.worker_of(dest) in crashed_set:
-                            metrics.recovery_resync_bytes += inbox_bytes.get(
-                                dest, 0
-                            )
-                            metrics.recovery_resync_messages += len(payloads)
-                    active = checkpoint.restore(states)
-                    self._aggregators.reset_current()
-                    continue
-
-                if self._contracts is not None:
-                    self._contracts.at_barrier(superstep, states)
-                for u in new_states:
-                    if u not in dirty:
-                        dirty[u] = states[u]
-                states.update(new_states)
-                runtime.commit(new_states)
-
-                # --- deliver messages (with combining, cost accounting) ----
-                outbox = self._outbox
-                if combiner is not None and outbox:
-                    outbox = self._apply_combiner(combiner, outbox)
-                if injector is not None:
-                    permuted = injector.permute(superstep, outbox)
-                    if permuted is not outbox:
-                        metrics.recovery_reorders += 1
-                        outbox = permuted
-                inbox = {}
-                inbox_bytes = {}
-                queue_bytes = 0
-                for msg in outbox:
-                    if not graph.has_vertex(msg.dest):
-                        continue  # racing with vertex deletion: drop
-                    wire = msg.wire_bytes()
-                    remote = self.dgraph.is_remote_pair(msg.source, msg.dest)
-                    if injector is not None and remote:
-                        drops = injector.sync_drops(
-                            superstep, msg.source, msg.dest
-                        )
-                        if drops:
-                            if drops > injector.max_retries:
-                                raise SyncRetryExhausted(
-                                    msg.source, msg.dest, drops, superstep
-                                )
-                            metrics.recovery_sync_retries += drops
-                            metrics.recovery_resync_bytes += drops * wire
-                            metrics.recovery_resync_messages += drops
-                            metrics.recovery_backoff_s += injector.backoff_time(
-                                drops
-                            )
-                        dups = injector.sync_duplicates(
-                            superstep, msg.source, msg.dest
-                        )
-                        if dups:
-                            # the receiver deduplicates by (source, seq);
-                            # only the wasted wire cost is real
-                            metrics.recovery_sync_duplicates += dups
-                            metrics.recovery_resync_bytes += dups * wire
-                            metrics.recovery_resync_messages += dups
-                    record.messages += 1
-                    if remote:
-                        record.remote_messages += 1
-                        record.bytes_sent += wire
-                    queue_bytes += wire
-                    inbox.setdefault(msg.dest, []).append(msg.payload)
-                    if injector is not None:
-                        inbox_bytes[msg.dest] = inbox_bytes.get(msg.dest, 0) + wire
-
-                metrics.observe(record, keep_record=keep_records)
-                if failover is not None:
-                    # voluntary joins/drains due at this barrier — applied
-                    # after commit, costs quarantined in rebalance_*
-                    failover.barrier_transitions(
-                        superstep, states, metrics, program.state_bytes,
-                        injector,
-                    )
-                self._aggregators.roll()
-                active = sorted(inbox)
-                superstep += 1
-
-                # memory snapshot: structure + in-flight queue
-                if superstep == 1 or queue_bytes:
-                    per_worker = self._memory_snapshot(program, states, inbox)
-                    metrics.observe_memory(per_worker)
-                    took_snapshot = True
-        except BaseException:
-            # leave no partial superstep behind: callers resuming from
-            # ``states`` (dynamic maintenance) see their run-entry values
-            for u, value in sorted(dirty.items()):
-                states[u] = value
-            raise
-        finally:
-            if sanitizer is not None:
-                sanitizer.end_engine_run(metrics)
-
-        if self._contracts is not None:
-            members = program.contract_members(states)
-            if members is not None:
-                self._contracts.at_convergence(graph, members)
-
-        # guarantee >= 1 snapshot per run — keyed on this run, not the
-        # meter: a shared meter may arrive with a peak from an earlier run
-        if not took_snapshot:
-            metrics.observe_memory(self._memory_snapshot(program, states, {}))
+        self._superstep_loop(
+            program, states, active, max_supersteps, metrics, keep_records
+        )
         metrics.wall_time_s += time.perf_counter() - started
         aggregates = {
             name: self._aggregators.previous(name)
             for name in self._aggregators.names()
         }
         return PregelResult(states=states, metrics=metrics, aggregates=aggregates)
+
+    # -- BSPEngine hooks -------------------------------------------------
+    def _sweep(self, states, active, superstep, draws):
+        self._outbox = []
+        return self._runtime.sweep_pregel(
+            states, active, superstep, self._inbox, draws
+        )
+
+    def _fail_over(self, program, failover, lost, superstep, checkpoint,
+                   states, metrics):
+        # degraded failover: no guest copies to reconstruct from, so the
+        # lost partitions reload from the barrier checkpoint
+        lost_set = set(lost)
+        failover.fail_over_degraded(
+            lost_set, superstep, checkpoint, states, metrics,
+            program.state_bytes,
+        )
+        self._replay_prepare(lost_set, metrics)
+
+    def _rebuild_crashed(self, program, crashed, checkpoint, metrics):
+        self._replay_prepare(set(crashed), metrics)
+
+    def _replay_prepare(self, workers: Set[int], metrics: RunMetrics) -> None:
+        """Ready a replay after ``workers`` failed: they lost their received
+        messages (re-fetched from the senders' outbox logs, charged as
+        resync), and the aborted sweep's aggregator contributions must not
+        double-count."""
+        worker_of = self.dgraph.worker_of
+        for dest, payloads in self._inbox.items():
+            if worker_of(dest) in workers:
+                metrics.recovery_resync_bytes += self._inbox_bytes.get(dest, 0)
+                metrics.recovery_resync_messages += len(payloads)
+        self._aggregators.reset_current()
+
+    def _barrier_transitions(self, program, failover, superstep, states,
+                             metrics):
+        failover.barrier_transitions(
+            superstep, states, metrics, program.state_bytes, self._faults
+        )
+
+    def _charge(self, program, sweep, record, superstep, states, metrics):
+        """Deliver the outbox (with combining and cost accounting); the
+        next active set is the destinations."""
+        record.state_changes = len(sweep.new_states)
+        injector = self._faults
+        graph = self.dgraph.graph
+        outbox = self._outbox
+        if self._combiner is not None and outbox:
+            outbox = self._apply_combiner(self._combiner, outbox)
+        if injector is not None:
+            outbox = self._shipping_order(superstep, outbox, metrics)
+        inbox: Dict[int, List[Any]] = {}
+        inbox_bytes: Dict[int, int] = {}
+        for msg in outbox:
+            if not graph.has_vertex(msg.dest):
+                continue  # racing with vertex deletion: drop
+            wire = msg.wire_bytes()
+            remote = self.dgraph.is_remote_pair(msg.source, msg.dest)
+            if injector is not None and remote:
+                self._charge_resends(
+                    superstep, msg.source, msg.dest, wire, metrics
+                )
+            record.messages += 1
+            if remote:
+                record.remote_messages += 1
+                record.bytes_sent += wire
+            inbox.setdefault(msg.dest, []).append(msg.payload)
+            if injector is not None:
+                inbox_bytes[msg.dest] = inbox_bytes.get(msg.dest, 0) + wire
+        self._inbox = inbox
+        self._inbox_bytes = inbox_bytes
+        self._aggregators.roll()
+        return inbox
+
+    def _snapshot_due(self, superstep):
+        # structure + in-flight queue: after the first barrier and after
+        # every barrier that leaves messages queued
+        return superstep == 0 or bool(self._inbox)
 
     # ------------------------------------------------------------------
     def _apply_combiner(
@@ -567,13 +320,10 @@ class PregelEngine:
         return combined
 
     def _memory_snapshot(
-        self,
-        program: PregelProgram,
-        states: Dict[int, Any],
-        inbox: Dict[int, List[Any]],
+        self, program: PregelProgram, states: Dict[int, Any]
     ) -> Dict[int, int]:
         state_bytes = {u: program.state_bytes(s) for u, s in sorted(states.items())}
         per_worker = self.dgraph.structural_memory_bytes(state_bytes)
-        for dest, payloads in inbox.items():
+        for dest, payloads in self._inbox.items():
             per_worker[self.dgraph.worker_of(dest)] += 16 * len(payloads)
         return per_worker

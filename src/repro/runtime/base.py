@@ -13,9 +13,11 @@ Both engines (:class:`~repro.scaleg.engine.ScaleGEngine` and
 
 The contract that makes backends interchangeable: a sweep is a *pure
 function* of ``(states as of the last barrier, active set, superstep)``.
-Everything order-sensitive — barrier commit, sync charging, activation
-filtering, fault processing, recovery — stays in the engine, fed from the
-:class:`ScaleGSweep` / :class:`PregelSweep` the backend returns.  The
+Everything order-sensitive stays on the coordinating side, fed from the
+:class:`ScaleGSweep` / :class:`PregelSweep` the backend returns: barrier
+commit, fault processing and recovery in the superstep loop both engines
+share (:class:`~repro.runtime.bsp.BSPEngine`), sync charging, activation
+filtering and message delivery in each engine's post-commit hook.  The
 backend merges per-partition results in partition order (ascending vertex
 id within the sweep), so members, ``members_checksum`` and every logical
 meter are bit-identical across backends; ``bench-perf --check`` and the

@@ -35,12 +35,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.errors import (
-    SuperstepLimitExceeded,
-    SyncRetryExhausted,
-    WorkerFailure,
-    WorkerLoss,
-)
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,8 +45,8 @@ from repro.pregel.metrics import (
     MESSAGE_OVERHEAD_BYTES,
     VERTEX_ID_BYTES,
     RunMetrics,
-    SuperstepRecord,
 )
+from repro.runtime.bsp import BSPEngine
 
 
 class ScaleGProgram(ABC):
@@ -251,51 +245,35 @@ class ScaleGResult:
     overwritten: Dict[int, Any] = field(default_factory=dict)
 
 
-class ScaleGEngine:
+class ScaleGEngine(BSPEngine):
     """Executes a :class:`ScaleGProgram` over a :class:`DistributedGraph`.
 
     The engine can be reused across runs on the same (mutating) graph: the
     dynamic maintenance driver keeps one engine, mutates the graph between
-    runs, and passes the previous run's states back in.
+    runs, and passes the previous run's states back in.  The superstep
+    loop, barrier fault processing and recovery live in
+    :class:`~repro.runtime.bsp.BSPEngine`; this class adds guest-copy sync
+    charging, guest rebuild and full failover, and the CSR fast path.
     """
+
+    _guest_reads = True
 
     def __init__(self, dgraph: "DistributedGraph", contracts=None, faults=None,
                  membership=None, runtime=None, sanitize=None,
                  representation=None):
-        """``contracts``: ``None`` defers to the ``REPRO_CONTRACTS`` env
-        flag, ``True``/``False`` force runtime contract checking on/off, or
-        pass a :class:`~repro.analysis.runtime.ContractChecker` directly.
-        ``faults``: a :class:`~repro.faults.plan.FaultPlan` or
-        :class:`~repro.faults.injector.FaultInjector` enabling seeded fault
-        injection + recovery; ``None`` (or an empty plan) leaves the hot
-        loop exactly as in the fault-free build.
-        ``membership``: a :class:`~repro.faults.membership.MembershipConfig`
-        or :class:`~repro.faults.membership.FailoverCoordinator` enabling
-        permanent-loss failover and guest anti-entropy; ``None``
-        auto-attaches a default coordinator exactly when the fault plan
-        schedules losses or guest corruption.
-        ``runtime``: execution backend for the compute sweep — ``None`` /
-        ``"inline"`` (serial, the default), ``"process"`` (multi-process
-        :class:`~repro.runtime.parallel.ParallelRuntime`), or an
-        :class:`~repro.runtime.base.ExecutionBackend` instance (shared
-        backends stay owned by the caller).
-        ``sanitize``: ``None`` defers to the ``REPRO_SANITIZE`` env flag,
-        ``True``/``False`` force the superstep race sanitizer on/off, or
-        pass a :class:`~repro.analysis.parallel.RaceSanitizer` directly;
-        when on, the backend is wrapped to record per-worker read/write
-        sets each superstep and flag races.
+        """``contracts``, ``faults``, ``membership``, ``runtime`` and
+        ``sanitize`` are resolved by :class:`~repro.runtime.bsp.BSPEngine`.
+        ``membership`` failover here rebuilds lost hosts from surviving
+        guest copies and runs the guest anti-entropy auditor.
         ``representation``: ``"dict"`` (the reference hot path) or
         ``"csr"`` (flat-array partition mirror, vectorized sweeps for
         programs that provide a :meth:`ScaleGProgram.csr_kernel`);
         ``None`` defers to the ``REPRO_REPRESENTATION`` env flag."""
-        from repro.analysis.parallel.sanitizer import resolve_sanitizer
-        from repro.analysis.runtime import resolve_contracts
-        from repro.faults.injector import resolve_faults
-        from repro.faults.membership import resolve_membership
         from repro.graph.csr import resolve_representation
-        from repro.runtime import resolve_runtime
 
-        self.dgraph = dgraph
+        super().__init__(dgraph, contracts=contracts, faults=faults,
+                         membership=membership, runtime=runtime,
+                         sanitize=sanitize)
         self._states: Dict[int, Any] = {}
         self._ranked: Optional[RankedAdjacency] = None
         self._representation = resolve_representation(representation)
@@ -305,31 +283,6 @@ class ScaleGEngine:
         #: True when the run can use typed-delta barriers (no faults, no
         #: sanitizer, no isolation snapshots)
         self._csr_fast = False
-        self._contracts = resolve_contracts(contracts)
-        self._faults = resolve_faults(faults)
-        self._membership = membership
-        self._failover = resolve_membership(membership, self._faults, dgraph)
-        self._sanitizer = resolve_sanitizer(sanitize)
-        backend = resolve_runtime(runtime)
-        if self._sanitizer is not None:
-            backend = self._sanitizer.wrap(backend)
-        self._runtime = backend
-
-    @property
-    def failover(self):
-        """The attached failover coordinator (``None`` when neither the
-        fault plan nor the caller asked for membership tracking)."""
-        return self._failover
-
-    @property
-    def runtime(self):
-        """The execution backend driving this engine's compute sweeps."""
-        return self._runtime
-
-    @property
-    def sanitizer(self):
-        """The attached race sanitizer (``None`` when sanitizing is off)."""
-        return self._sanitizer
 
     @property
     def representation(self) -> str:
@@ -339,7 +292,7 @@ class ScaleGEngine:
     def close(self) -> None:
         """Release the execution backend's resources (worker processes,
         published shared-memory frames)."""
-        self._runtime.close()
+        super().close()
         part = getattr(self.dgraph, "_csr_partition", None)
         if part is not None:
             part.release_shared()
@@ -352,7 +305,6 @@ class ScaleGEngine:
         states: Optional[Dict[int, Any]] = None,
         metrics: Optional[RunMetrics] = None,
         keep_records: bool = True,
-        faults=None,
     ) -> ScaleGResult:
         """Run ``program`` until no vertex is active.
 
@@ -365,57 +317,17 @@ class ScaleGEngine:
         ``metrics`` lets callers accumulate multiple runs into one meter.
         ``keep_records`` disables per-superstep record retention for very
         long update streams (the aggregate counters still accumulate).
-        ``faults`` overrides the engine's fault injector for this run.
 
         Exception safety: if the run raises (:class:`SuperstepLimitExceeded`,
         an unrecoverable :class:`WorkerFailure`, a contract violation), every
         entry of ``states`` is restored to its value at run entry — no
         partially converged superstep leaks into a caller's resumed states.
         """
-        from repro.faults.injector import resolve_faults
-        graph = self.dgraph.graph
-        own_metrics = metrics if metrics is not None else RunMetrics(
-            num_workers=self.dgraph.num_workers
-        )
         started = time.perf_counter()
-
-        if states is None:
-            states = {
-                u: program.initial_state(self.dgraph, u) for u in graph.vertices()
-            }
-        caller_states = states
-        if max_supersteps is None:
-            max_supersteps = 4 * max(graph.num_vertices, 1) + 16
-
-        if initial_active is None:
-            active: List[int] = graph.sorted_vertices()
-        else:
-            active = sorted(set(initial_active) & graph.vertex_keys())
-
-        dgraph = self.dgraph
-        is_remote_pair = dgraph.is_remote_pair
-        contracts = self._contracts
-        if faults is not None:
-            injector = resolve_faults(faults)
-            failover = self._failover
-            if failover is None:
-                from repro.faults.membership import resolve_membership
-
-                failover = resolve_membership(self._membership, injector, dgraph)
-        else:
-            injector = self._faults
-            failover = self._failover
-        if injector is not None:
-            injector.begin_run()
-        # marking corrupted guest copies needs both the schedule and the
-        # auditor that will eventually catch them
-        corrupts = (
-            injector is not None and failover is not None
-            and injector.plan.schedules_corruption
+        states, active, max_supersteps, metrics = self._run_entry(
+            program, initial_active, max_supersteps, states, metrics
         )
-        # the O(active·deg) read-set sweep is only needed when the checker
-        # actually snapshots (isolation on); otherwise skip it entirely
-        check_isolation = contracts is not None and contracts.check_isolation
+        caller_states = states
         self._csr = None
         self._csr_kernel = None
         self._csr_fast = False
@@ -425,7 +337,7 @@ class ScaleGEngine:
         if kernel is not None:
             from repro.graph.csr import CSRPartition
 
-            part = CSRPartition.attach(dgraph)
+            part = CSRPartition.attach(self.dgraph)
             part.ensure()
             if states is not part.states:
                 part.sync_states(states)  # a dict from outside: bulk load
@@ -434,351 +346,145 @@ class ScaleGEngine:
             self._csr_kernel = kernel
             # typed-delta barriers only when nothing needs the standard
             # request lists; otherwise the kernel materializes them and
-            # the dict-path barrier below runs unchanged
+            # the dict-path barrier in _charge runs unchanged
+            contracts = self._contracts
             self._csr_fast = (
-                injector is None
+                self._faults is None
                 and self._sanitizer is None
-                and not check_isolation
+                and not (contracts is not None and contracts.check_isolation)
             )
             # ranked cache not needed for kernel sweeps; the context
             # lazily builds the default one if recovery paths ask
             self._ranked = None
         else:
-            self._ranked = program.rank_cache(graph)
+            self._ranked = program.rank_cache(self.dgraph.graph)
         self._states = states
-        runtime = self._runtime
-        runtime.bind(self)
-        runtime.begin_run(program, states)
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.begin_engine_run(own_metrics, dgraph.num_workers)
 
-        superstep = 0
-        ran_supersteps = 0
-        #: run-entry values of every state this run overwrote, restored if
-        #: the run raises (exception safety for resumed maintenance states)
-        dirty: Dict[int, Any] = {}
-        try:
-            while active:
-                if ran_supersteps >= max_supersteps:
-                    raise SuperstepLimitExceeded(max_supersteps)
-                record = SuperstepRecord(superstep=superstep)
-                record.worker_work = [0] * dgraph.num_workers
-
-                checkpoint = None
-                if injector is not None:
-                    from repro.faults.recovery import SuperstepCheckpoint
-
-                    checkpoint = SuperstepCheckpoint.capture(
-                        superstep, states, active, dgraph
-                    )
-
-                if check_isolation:
-                    read_set: Set[int] = set(active)
-                    for u in active:
-                        read_set.update(graph.neighbors(u))
-                    contracts.begin_superstep(superstep, read_set, states)
-
-                # parallel backends pre-draw the barrier's fault schedule
-                # so the owning worker processes observe their own faults;
-                # draws are pure keyed hashes + fire-once, so the values
-                # match what the inline barrier would draw below
-                draws = None
-                if injector is not None:
-                    draws = runtime.predraw(
-                        injector, superstep, dgraph.num_workers
-                    )
-
-                try:
-                    sweep = runtime.sweep_scaleg(active, superstep, draws)
-                    new_states = sweep.new_states
-                    changed = sweep.changed
-                    forced = sweep.forced
-                    requests = sweep.requests
-                    record.compute_work = sweep.compute_work
-                    record.worker_work = sweep.worker_work
-                    record.active_vertices = len(active)
-
-                    if injector is not None:
-                        if draws is not None and sweep.fault_echo != draws.echo():
-                            from repro.errors import ParallelRuntimeError
-
-                            raise ParallelRuntimeError(
-                                f"superstep {superstep}: worker fault echo "
-                                f"{sweep.fault_echo!r} disagrees with the "
-                                f"barrier draws {draws.echo()!r}"
-                            )
-                        if failover is not None:
-                            failover.view.advance()
-                        # -- worker sweep: straggler delays (modelled time)
-                        if draws is None:
-                            for w in range(dgraph.num_workers):
-                                delay = injector.straggler_delay(superstep, w)
-                                if delay:
-                                    own_metrics.recovery_straggler_s += delay
-                                    own_metrics.wall_time_s += delay
-                                if failover is not None and not failover.is_dead(w):
-                                    # injector delays are *flagged* stragglers:
-                                    # the detector must never count them toward
-                                    # suspicion (slow is not dead)
-                                    failover.view.heartbeat(
-                                        w, delay_s=delay, injected=True
-                                    )
-                        else:
-                            # pre-drawn path: apply each worker's echoed
-                            # increments exactly once, in ascending worker
-                            # order — the inline accumulation order, so the
-                            # float meters stay bit-identical
-                            for w, delay in enumerate(draws.delays):
-                                if delay:
-                                    own_metrics.merge_delta({
-                                        "recovery_straggler_s": delay,
-                                        "wall_time_s": delay,
-                                    })
-                                if failover is not None and not failover.is_dead(w):
-                                    failover.view.heartbeat(
-                                        w, delay_s=delay, injected=True
-                                    )
-                        # -- barrier: permanent losses (silence, not delay)
-                        lost = draws.lost if draws is not None else (
-                            injector.lost_workers(
-                                superstep, range(dgraph.num_workers)
-                            )
-                        )
-                        if lost:
-                            raise_loss = WorkerLoss(
-                                lost[0], superstep,
-                                f"{len(lost)} worker(s) declared permanently "
-                                "dead at the barrier",
-                            )
-                            raise_loss.workers = lost
-                            raise raise_loss
-                        # -- barrier commit: crash detection
-                        crashed = draws.crashed if draws is not None else (
-                            injector.crashed_workers(
-                                superstep, range(dgraph.num_workers)
-                            )
-                        )
-                        if crashed:
-                            failure = WorkerFailure(
-                                crashed[0], superstep,
-                                f"{len(crashed)} worker(s) crashed at the "
-                                "barrier",
-                            )
-                            failure.workers = crashed
-                            raise failure
-                except SyncRetryExhausted:
-                    raise  # unrecoverable: escalate to the caller
-                except WorkerLoss as loss:
-                    if checkpoint is None or failover is None:
-                        raise  # no membership subsystem: unrecoverable
-                    # membership failover: declare the workers dead, hand
-                    # their partitions to survivors (rendezvous), rebuild
-                    # each lost host from the freshest surviving guest copy
-                    # (or the delta log / barrier checkpoint), then replay
-                    # the superstep on the shrunken cluster.  All costs go
-                    # to the recovery meters; the logical meters keep the
-                    # fault-free placement.
-                    own_metrics.recovery_replayed_supersteps += 1
-                    own_metrics.recovery_compute_work += record.compute_work
-                    targets = failover.fail_over(
-                        loss.workers or [loss.worker], superstep,
-                        checkpoint, states, own_metrics, program.sync_bytes,
-                    )
-                    active = checkpoint.restore(states)
-                    if targets:
-                        self._recovery_sweep(
-                            program, targets, superstep, own_metrics
-                        )
-                    continue
-                except WorkerFailure as failure:
-                    if checkpoint is None:
-                        raise  # not injected by us: no checkpoint to replay
-                    # rollback-and-replay: nothing from this attempt has
-                    # committed; restore the barrier checkpoint, rebuild the
-                    # crashed workers' guest copies from host state, charge
-                    # everything to the recovery meters, and replay.
-                    from repro.faults.recovery import guest_rebuild_cost
-
-                    crashed = getattr(failure, "workers", [failure.worker])
-                    own_metrics.recovery_crashes += len(crashed)
-                    own_metrics.recovery_replayed_supersteps += 1
-                    own_metrics.recovery_compute_work += record.compute_work
-                    rebuild_bytes, rebuild_records = guest_rebuild_cost(
-                        dgraph, crashed, program.sync_bytes, checkpoint.states
-                    )
-                    own_metrics.recovery_resync_bytes += rebuild_bytes
-                    own_metrics.recovery_resync_messages += rebuild_records
-                    active = checkpoint.restore(states)
-                    continue
-
-                if contracts is not None:
-                    contracts.at_barrier(superstep, states)
-                for u in new_states:
-                    if u not in dirty:
-                        dirty[u] = states[u]
-                states.update(new_states)
-                runtime.commit(new_states)
-
-                if sweep.csr is not None:
-                    # array fast path: sync + activation charging from the
-                    # typed delta arrays (post-commit, like the loops below)
-                    from repro.graph.csr import finish_barrier
-
-                    next_active = finish_barrier(
-                        self._csr, self._csr_kernel, sweep.csr, changed,
-                        record, dgraph,
-                    )
-                    own_metrics.observe(record, keep_record=keep_records)
-                    if failover is not None:
-                        self._apply_membership_transitions(
-                            failover, injector, superstep, states,
-                            own_metrics, program.sync_bytes,
-                        )
-                    active = sorted(next_active)
-                    superstep += 1
-                    ran_supersteps += 1
-                    continue
-
-                # --- charge state sync: once per (synced vertex, guest machine)
-                changed_set = set(changed)
-                record.state_changes = len(changed)
-                guest_machines = dgraph.guest_machines
-                sync_bytes = program.sync_bytes
-                sync_order = changed + forced
-                if injector is not None:
-                    permuted = injector.permute(superstep, sync_order)
-                    if permuted is not sync_order:
-                        own_metrics.recovery_reorders += 1
-                        sync_order = permuted
-                for u in sync_order:
-                    payload = VERTEX_ID_BYTES + sync_bytes(states[u])
-                    for _machine in guest_machines(u):
-                        wire = MESSAGE_OVERHEAD_BYTES + payload
-                        if injector is not None:
-                            drops = injector.sync_drops(superstep, u, _machine)
-                            if drops:
-                                if drops > injector.max_retries:
-                                    raise SyncRetryExhausted(
-                                        u, _machine, drops, superstep
-                                    )
-                                own_metrics.recovery_sync_retries += drops
-                                own_metrics.recovery_resync_bytes += drops * wire
-                                own_metrics.recovery_resync_messages += drops
-                                own_metrics.recovery_backoff_s += (
-                                    injector.backoff_time(drops)
-                                )
-                            dups = injector.sync_duplicates(superstep, u, _machine)
-                            if dups:
-                                own_metrics.recovery_sync_duplicates += dups
-                                own_metrics.recovery_resync_bytes += dups * wire
-                                own_metrics.recovery_resync_messages += dups
-                            if corrupts and injector.corrupt_guest(
-                                superstep, u, _machine
-                            ):
-                                # the delivered copy silently diverges in the
-                                # replica — only the auditor can see it
-                                failover.mark_corrupted(u, _machine)
-                        record.remote_messages += 1
-                        record.bytes_sent += wire
-
-                # --- filter + charge activation routing, build next active ----
-                synced_set = changed_set.union(forced)
-                next_active: Set[int] = set()
-                has_vertex = graph.has_vertex
-                for source, plain, predicated in requests:
-                    for target in plain:
-                        if not has_vertex(target):
-                            continue
-                        next_active.add(target)
-                        record.messages += 1
-                        if is_remote_pair(source, target):
-                            record.remote_messages += 1
-                            if source in synced_set:
-                                # piggybacked on the sync record already shipped
-                                # to the target's machine
-                                record.bytes_sent += ACTIVATION_ENTRY_BYTES
-                            else:
-                                record.bytes_sent += (
-                                    MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
-                                )
-                    if not predicated:
-                        continue
-                    source_state = states[source]
-                    for target, predicate in predicated:
-                        if not has_vertex(target):
-                            continue
-                        if not predicate(source_state, states[target]):
-                            continue
-                        next_active.add(target)
-                        record.messages += 1
-                        if is_remote_pair(source, target):
-                            record.remote_messages += 1
-                            if source in synced_set:
-                                record.bytes_sent += ACTIVATION_ENTRY_BYTES
-                            else:
-                                record.bytes_sent += (
-                                    MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
-                                )
-                if injector is not None and failover is not None:
-                    # bounded delta log (reconstruction source for solitary
-                    # vertices) + this superstep's sampled anti-entropy pass
-                    failover.record_deltas(
-                        changed, states, sync_bytes, own_metrics
-                    )
-                    failover.audit(states, sync_bytes, own_metrics)
-                own_metrics.observe(record, keep_record=keep_records)
-                if failover is not None:
-                    self._apply_membership_transitions(
-                        failover, injector, superstep, states,
-                        own_metrics, program.sync_bytes,
-                    )
-                active = sorted(next_active)
-                superstep += 1
-                ran_supersteps += 1
-        except BaseException:
-            # leave no partial superstep behind: callers resuming from
-            # ``states`` (dynamic maintenance) see their run-entry values
-            for u, value in sorted(dirty.items()):
-                states[u] = value
-            raise
-        finally:
-            if sanitizer is not None:
-                sanitizer.end_engine_run(own_metrics)
-
+        dirty = self._superstep_loop(
+            program, states, active, max_supersteps, metrics, keep_records
+        )
         if states is not caller_states:
             for u in dirty:
                 caller_states[u] = states[u]
-        if self._contracts is not None:
-            members = program.contract_members(states)
-            if members is not None:
-                self._contracts.at_convergence(graph, members)
-
-        per_worker = self._memory_snapshot(program, states)
-        own_metrics.observe_memory(per_worker)
-        own_metrics.wall_time_s += time.perf_counter() - started
-        return ScaleGResult(states=caller_states, metrics=own_metrics,
+        metrics.wall_time_s += time.perf_counter() - started
+        return ScaleGResult(states=caller_states, metrics=metrics,
                             overwritten=dirty)
 
-    # ------------------------------------------------------------------
-    def _apply_membership_transitions(
-        self, failover, injector, superstep: int, states: Dict[int, Any],
-        metrics: RunMetrics, sync_bytes,
-    ) -> None:
-        """Apply voluntary joins/drains due at this barrier's end.
+    # -- BSPEngine hooks -------------------------------------------------
+    def _sweep(self, states, active, superstep, draws):
+        return self._runtime.sweep_scaleg(active, superstep, draws)
 
-        Runs *after* commit, so a crash raised earlier this superstep has
-        already rolled back before any transition consumes (and the
-        injector's fire-once keys make a replayed barrier safe anyway).
-        A transition invalidates the published CSR frame: the partition's
-        structure version bumps so the next sweep reships it.
-        """
+    def _fail_over(self, program, failover, lost, superstep, checkpoint,
+                   states, metrics):
+        # rebuild each lost host from the freshest surviving guest copy (or
+        # the delta log / barrier checkpoint), then re-examine the rebuilt
+        # hosts and their neighbours
+        targets = failover.fail_over(
+            lost, superstep, checkpoint, states, metrics, program.sync_bytes,
+        )
+        if targets:
+            self._recovery_sweep(program, targets, superstep, metrics)
+
+    def _rebuild_crashed(self, program, crashed, checkpoint, metrics):
+        # a crashed worker loses every guest copy it hosted: rebuild them
+        # from host state
+        from repro.faults.recovery import guest_rebuild_cost
+
+        rebuild_bytes, rebuild_records = guest_rebuild_cost(
+            self.dgraph, crashed, program.sync_bytes, checkpoint.states
+        )
+        metrics.recovery_resync_bytes += rebuild_bytes
+        metrics.recovery_resync_messages += rebuild_records
+
+    def _barrier_transitions(self, program, failover, superstep, states,
+                             metrics):
+        # a transition invalidates the published CSR frame: the partition's
+        # structure version bumps so the next sweep reships it
         applied_before = len(failover.transitions)
         failover.barrier_transitions(
-            superstep, states, metrics, sync_bytes, injector
+            superstep, states, metrics, program.sync_bytes, self._faults
         )
         if len(failover.transitions) > applied_before and self._csr is not None:
             self._csr.mark_membership_change()
+
+    def _charge(self, program, sweep, record, superstep, states, metrics):
+        """Charge state sync and activation routing; the next active set."""
+        dgraph = self.dgraph
+        changed = sweep.changed
+        if sweep.csr is not None:
+            # array fast path: sync + activation charging from the typed
+            # delta arrays (same meters as the loops below)
+            from repro.graph.csr import finish_barrier
+
+            return finish_barrier(
+                self._csr, self._csr_kernel, sweep.csr, changed, record,
+                dgraph,
+            )
+
+        injector = self._faults
+        failover = self._failover
+        # marking corrupted guest copies needs both the schedule and the
+        # auditor that will eventually catch them
+        corrupts = (
+            injector is not None and failover is not None
+            and injector.plan.schedules_corruption
+        )
+        # --- charge state sync: once per (synced vertex, guest machine)
+        record.state_changes = len(changed)
+        guest_machines = dgraph.guest_machines
+        sync_bytes = program.sync_bytes
+        forced = sweep.forced
+        sync_order = changed + forced
+        if injector is not None:
+            sync_order = self._shipping_order(superstep, sync_order, metrics)
+        for u in sync_order:
+            payload = VERTEX_ID_BYTES + sync_bytes(states[u])
+            for _machine in guest_machines(u):
+                wire = MESSAGE_OVERHEAD_BYTES + payload
+                if injector is not None:
+                    self._charge_resends(superstep, u, _machine, wire, metrics)
+                    if corrupts and injector.corrupt_guest(
+                        superstep, u, _machine
+                    ):
+                        # the delivered copy silently diverges in the
+                        # replica — only the auditor can see it
+                        failover.mark_corrupted(u, _machine)
+                record.remote_messages += 1
+                record.bytes_sent += wire
+
+        # --- filter + charge activation routing, build next active ----
+        synced_set = set(changed).union(forced)
+        next_active: Set[int] = set()
+        has_vertex = dgraph.graph.has_vertex
+        is_remote_pair = dgraph.is_remote_pair
+        for source, targets, predicated in sweep.requests:
+            if predicated:
+                source_state = states[source]
+                targets = targets + [
+                    target for target, predicate in predicated
+                    if has_vertex(target)
+                    and predicate(source_state, states[target])
+                ]
+            # a remote activation rides on the sync record already shipped
+            # to the target's machine, or travels as its own small message
+            remote_bytes = (
+                ACTIVATION_ENTRY_BYTES if source in synced_set
+                else MESSAGE_OVERHEAD_BYTES + VERTEX_ID_BYTES
+            )
+            for target in targets:
+                if not has_vertex(target):
+                    continue
+                next_active.add(target)
+                record.messages += 1
+                if is_remote_pair(source, target):
+                    record.remote_messages += 1
+                    record.bytes_sent += remote_bytes
+        if injector is not None and failover is not None:
+            # bounded delta log (reconstruction source for solitary
+            # vertices) + this superstep's sampled anti-entropy pass
+            failover.record_deltas(changed, states, sync_bytes, metrics)
+            failover.audit(states, sync_bytes, metrics)
+        return next_active
 
     # ------------------------------------------------------------------
     def _recovery_sweep(self, program: ScaleGProgram, targets: List[int],

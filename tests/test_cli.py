@@ -50,6 +50,15 @@ class TestCompute:
 
         assert set(members) == greedy_mis(graph)
 
+    @pytest.mark.parametrize("extra", [
+        ["--algorithm", "dismis"],
+        ["--engine", "pregel"],
+    ])
+    def test_csr_rejected_off_scaleg_oimis(self, graph_file, extra, capsys):
+        path, _ = graph_file
+        assert main(["compute", path, "--representation", "csr", *extra]) == 2
+        assert "--representation csr is only supported" in capsys.readouterr().err
+
     def test_engines_agree(self, graph_file, tmp_path):
         path, _ = graph_file
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

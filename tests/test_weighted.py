@@ -139,6 +139,29 @@ class TestMaintainer:
         m.set_weight(0, 1.0)
         assert m.independent_set() == {1, 2, 3, 4, 5}
 
+    def test_csr_representation_keeps_weighted_order(self, monkeypatch):
+        # the CSR kernel implements the unweighted order: under
+        # REPRO_REPRESENTATION=csr a weighted maintainer must keep sweeping
+        # the dict path, landing on the same set as an explicit dict run
+        pytest.importorskip("numpy")
+        g = erdos_renyi(200, 1000, seed=3)
+        rng = random.Random(3)
+        w = {u: rng.uniform(0.1, 10) for u in g.vertices()}
+        monkeypatch.delenv("REPRO_REPRESENTATION", raising=False)
+        reference = WeightedMISMaintainer(g.copy(), weights=dict(w),
+                                          num_workers=4)
+        monkeypatch.setenv("REPRO_REPRESENTATION", "csr")
+        m = WeightedMISMaintainer(g.copy(), weights=dict(w), num_workers=4)
+        m.verify()
+        assert m.independent_set() == reference.independent_set()
+        for _ in range(20):
+            u = rng.randrange(200)
+            weight = rng.uniform(0.1, 10)
+            m.set_weight(u, weight)
+            reference.set_weight(u, weight)
+        m.verify()
+        assert m.independent_set() == reference.independent_set()
+
     def test_set_weight_noop_when_unchanged(self):
         g = path_graph(4)
         m = WeightedMISMaintainer(g, num_workers=2)
