@@ -9,9 +9,8 @@ Two halves of one guard-rail for the runtime layer:
   opt-in (``REPRO_SANITIZE=1``) backend wrapper that records per-worker
   read/write vertex sets each superstep and flags races at runtime, with
   a keyed-hash trace log that replays under any ``PYTHONHASHSEED``.
-- :mod:`repro.analysis.parallel.sanitize` — the ``repro-mis sanitize``
-  driver: chaos workloads under the sanitizer, asserting zero races and
-  bit-identity with the inline reference.
+  ``repro-mis sanitize`` runs the chaos sweep of :mod:`repro.faults.chaos`
+  with one per case.
 """
 
 from repro.analysis.parallel.rules import check_parallel
@@ -23,21 +22,6 @@ from repro.analysis.parallel.sanitizer import (
     sanitize_enabled,
 )
 
-#: the sanitize driver imports the chaos harness (maintainer, datasets) —
-#: load it lazily so engine construction, which resolves the sanitizer
-#: through this package, never pulls the whole bench stack in
-_DRIVER_EXPORTS = ("SanitizeCaseResult", "run_sanitize_case", "sanitize_suite")
-
-
-def __getattr__(name):
-    if name in _DRIVER_EXPORTS:
-        from repro.analysis.parallel import sanitize
-
-        return getattr(sanitize, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
 __all__ = [
     "check_parallel",
     "RaceSanitizer",
@@ -45,7 +29,4 @@ __all__ = [
     "SuperstepTrace",
     "resolve_sanitizer",
     "sanitize_enabled",
-    "SanitizeCaseResult",
-    "run_sanitize_case",
-    "sanitize_suite",
 ]

@@ -538,79 +538,51 @@ def _elastic_transitions(
     joins: Tuple[Tuple[int, int], ...] = (),
     drains: Tuple[Tuple[int, int], ...] = (),
 ) -> Dict[str, Any]:
-    """Voluntary joins/drains mid-stream vs a static-membership reference.
+    """Voluntary joins/drains mid-stream, checked by the chaos oracle.
 
-    The static run is the bit-identity oracle (any drift in a logical
-    field or ``compute_work`` raises); the elastic run's sections become
-    the entry, with the deterministic ``rebalance_*`` meters pinned inside
-    the logical section (movement cost is part of the contract) and the
-    per-transition trace — moved counts, modelled barrier stall,
-    post-transition residency skew — recorded under ``perf.elastic``.
-    ``joins``/``drains`` are ``(worker, run)`` pairs.
+    :func:`~repro.faults.chaos.run_elastic_case` compares the elastic run
+    with the fault-free reference (members plus every logical meter and
+    ``compute_work``) and requires a transition to apply; any failure
+    raises.  The elastic run's sections become the entry, with the
+    deterministic ``rebalance_*`` meters pinned inside the logical section
+    (movement cost is part of the contract) and the per-transition trace —
+    moved counts, modelled barrier stall, post-transition residency skew —
+    recorded under ``perf.elastic``.  ``joins``/``drains`` are
+    ``(worker, run)`` pairs.
     """
-    from repro.faults import DrainSpec, FaultInjector, FaultPlan, JoinSpec
+    from repro.faults.chaos import (
+        ChaosWorkload,
+        elastic_report,
+        run_elastic_case,
+    )
 
-    def run(faults):
-        base = load_dataset(tag)
-        ops = delete_reinsert_workload(base, k, seed=seed)
-        maintainer = DOIMISMaintainer(
-            base.copy(), num_workers=10,
-            strategy=ActivationStrategy.SAME_STATUS, faults=faults,
+    result, elastic = run_elastic_case(
+        ChaosWorkload(tag=tag, k=k, batch_size=batch_size,
+                      workload_seed=seed),
+        joins=joins, drains=drains,
+    )
+    if not result.ok:
+        raise RuntimeError(
+            f"elastic_transitions_{tag}: {'; '.join(result.failures)}"
         )
-        maintainer.apply_stream(ops, batch_size=batch_size)
-        return maintainer
-
-    static = run(None)
-    plan = FaultPlan(
-        seed=0,
-        joins=tuple(JoinSpec(superstep=0, worker=w, run=r)
-                    for w, r in joins),
-        drains=tuple(DrainSpec(superstep=0, worker=w, run=r)
-                     for w, r in drains),
-    )
-    elastic = run(FaultInjector(plan))
-    static_entry = _sections(
-        static.independent_set(), static.update_metrics, static.graph
-    )
     entry = _sections(
         elastic.independent_set(), elastic.update_metrics, elastic.graph
     )
-    if _stable_sections(static_entry) != _stable_sections(entry):
-        raise RuntimeError(
-            f"elastic_transitions_{tag}: elastic membership diverged from "
-            "the static-membership reference"
-        )
-    failover = elastic.failover
-    if failover is None or not failover.transitions:
-        raise RuntimeError(
-            f"elastic_transitions_{tag}: no membership transition applied"
-        )
-    rebalance = elastic.update_metrics.rebalance_summary()
+    rebalance = result.rebalance
     entry["logical"]["rebalance"] = dict(rebalance)
+    report = elastic_report(elastic)
     num_vertices = elastic.graph.num_vertices
-    members = failover.view.members()
-    counts = {w: 0 for w in members}
-    for u in sorted(elastic.graph.vertices()):
-        w = failover.worker_of(u)
-        counts[w] = counts.get(w, 0) + 1
-    loads = list(counts.values())
-    mean = sum(loads) / len(loads) if loads else 0.0
     entry["params"] = {"kind": "elastic_transitions", "dataset": tag,
                        "k": k, "seed": seed, "batch_size": batch_size,
                        "workers": 10, "joins": [list(j) for j in joins],
                        "drains": [list(d) for d in drains]}
     entry["perf"]["elastic"] = {
-        "transitions": [
-            {"superstep": e.superstep, "joined": list(e.joined),
-             "drained": list(e.drained), "moved": e.moved,
-             "epoch": e.epoch, "stall_s": e.stall_s}
-            for e in failover.transitions
-        ],
-        "members_after": len(members),
+        "transitions": report["transitions"],
+        "members_after": report["members"],
         "moved_fraction": round(
             rebalance["rebalance_moved_vertices"] / num_vertices, 4
         ) if num_vertices else 0.0,
-        "post_skew": round(max(loads) / mean, 4) if mean else 1.0,
+        "post_skew": report["post_skew"],
     }
     return entry
 

@@ -274,8 +274,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from repro.analysis.parallel import sanitize_suite
-    from repro.faults.chaos import CHAOS_WORKLOADS, PLAN_PRESETS
+    from repro.faults.chaos import CHAOS_WORKLOADS, PLAN_PRESETS, chaos_suite
 
     presets = args.preset or ["none"]
     for preset in presets:
@@ -298,22 +297,29 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             )
             return 2
         workloads = tuple(by_name[name] for name in args.workload)
-    results = sanitize_suite(
+    results = chaos_suite(
         presets=presets,
         seeds=args.seed or list(range(args.seeds)),
-        procs=args.procs,
         workloads=workloads,
-        start_method=args.start_method,
-        representation=getattr(args, "representation", None),
+        representation=args.representation,
+        procs=args.procs,
+        sanitize=True,
     )
     if args.format == "json":
-        print(json.dumps([r.as_dict() for r in results], indent=2))
+        print(json.dumps([
+            {"workload": r.workload, "preset": r.preset, "seed": r.seed,
+             "procs": args.procs, "ok": r.ok,
+             "supersteps_checked": r.supersteps_checked,
+             "trace_digest": r.trace_digest, "races": r.races,
+             "failures": r.failures}
+            for r in results
+        ], indent=2))
     else:
         print(f"{'workload':20} {'preset':16} {'seed':>4} {'procs':>5} "
               f"{'checked':>8} {'races':>6} {'verdict'}")
         for r in results:
             verdict = "ok" if r.ok else "FAIL"
-            print(f"{r.workload:20} {r.preset:16} {r.seed:>4} {r.procs:>5} "
+            print(f"{r.workload:20} {r.preset:16} {r.seed:>4} {args.procs:>5} "
                   f"{r.supersteps_checked:>8} {len(r.races):>6} {verdict}  "
                   f"trace={r.trace_digest}")
             for race in r.races:
@@ -722,107 +728,58 @@ def _parse_transition(text: str):
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
     """Scripted elastic transitions on one workload + the identity oracle."""
-    from repro.bench.workloads import delete_reinsert_workload
-    from repro.faults import DrainSpec, FaultInjector, FaultPlan, JoinSpec
-    from repro.faults.chaos import LOGICAL_METERS
-    from repro.graph.datasets import load_dataset
+    from repro.faults.chaos import (
+        NUM_WORKERS,
+        ChaosWorkload,
+        elastic_report,
+        run_elastic_case,
+    )
 
-    drains = tuple(
-        DrainSpec(superstep=0, worker=w, run=r)
-        for w, r in (_parse_transition(t) for t in args.drain or ())
-    )
-    joins = tuple(
-        JoinSpec(superstep=0, worker=w, run=r)
-        for w, r in (_parse_transition(t) for t in args.join or ())
-    )
+    drains = tuple(_parse_transition(t) for t in args.drain or ())
+    joins = tuple(_parse_transition(t) for t in args.join or ())
     if not drains and not joins:
         raise ReproError(
             "rebalance needs at least one --drain or --join (WORKER[@RUN])"
         )
-    plan = FaultPlan(seed=0, drains=drains, joins=joins)
-    representation = getattr(args, "representation", None)
-
-    def run_once(faults):
-        runtime = _resolve_cli_runtime(args)
-        maintainer = MISMaintainer(
-            load_dataset(args.dataset), num_workers=args.workers,
-            strategy=ActivationStrategy.SAME_STATUS,
-            faults=faults, runtime=runtime,
-            representation=representation,
-        )
-        ops = delete_reinsert_workload(
-            load_dataset(args.dataset), args.k, seed=args.seed
-        )
-        try:
-            maintainer.apply_stream(ops, batch_size=args.batch_size)
-        finally:
-            if runtime is not None:
-                maintainer.close()
-        return maintainer
-
-    reference = run_once(None)
-    elastic = run_once(FaultInjector(plan))
-
-    failures: List[str] = []
-    if sorted(elastic.independent_set()) != \
-            sorted(reference.independent_set()):
-        failures.append("members diverged from the static-membership run")
-    for name in LOGICAL_METERS:
-        ours = getattr(elastic.update_metrics, name)
-        theirs = getattr(reference.update_metrics, name)
-        if ours != theirs:
-            failures.append(
-                f"logical meter {name} drifted: elastic={ours} "
-                f"static={theirs}"
-            )
-
-    failover = elastic.failover
-    events = failover.transitions if failover is not None else []
-    rebalance = elastic.update_metrics.rebalance_summary()
-    # post-transition residency skew under the effective placement
-    skew = 1.0
-    members = []
-    if failover is not None:
-        members = failover.view.members()
-        counts = {w: 0 for w in members}
-        for u in sorted(elastic.graph.vertices()):
-            counts[failover.worker_of(u)] = \
-                counts.get(failover.worker_of(u), 0) + 1
-        loads = [c for c in counts.values()]
-        mean = sum(loads) / len(loads) if loads else 0.0
-        skew = max(loads) / mean if mean else 1.0
-
+    workload = ChaosWorkload(tag=args.dataset, k=args.k,
+                             batch_size=args.batch_size,
+                             workload_seed=args.seed)
+    result, elastic = run_elastic_case(
+        workload, joins=joins, drains=drains,
+        runtime=_resolve_cli_runtime(args),
+        representation=args.representation,
+    )
+    failures = result.failures
+    if elastic is None:  # the run raised: no membership to report
+        for failure in failures:
+            print(f"error: {failure}", file=sys.stderr)
+        return 1
+    report = elastic_report(elastic)
+    rebalance = result.rebalance
     if args.format == "json":
         print(json.dumps({
             "dataset": args.dataset,
             "k": args.k,
             "batch_size": args.batch_size,
-            "workers": args.workers,
-            "drains": [[s.worker, s.run] for s in drains],
-            "joins": [[s.worker, s.run] for s in joins],
-            "epoch": failover.epoch if failover is not None else 0,
-            "members": len(members),
-            "transitions": [
-                {"superstep": e.superstep, "joined": list(e.joined),
-                 "drained": list(e.drained), "moved": e.moved,
-                 "epoch": e.epoch, "stall_s": e.stall_s}
-                for e in events
-            ],
+            "workers": NUM_WORKERS,
+            "drains": [list(d) for d in drains],
+            "joins": [list(j) for j in joins],
+            "epoch": report["epoch"],
+            "members": report["members"],
+            "transitions": report["transitions"],
             "rebalance": rebalance,
-            "post_skew": round(skew, 4),
+            "post_skew": report["post_skew"],
             "ok": not failures,
             "failures": failures,
         }, indent=2, sort_keys=True))
     else:
         print(f"rebalance: dataset={args.dataset} k={args.k} "
-              f"batch={args.batch_size} workers={args.workers}")
-        print(f"  joins             "
-              f"{[f'{s.worker}@{s.run}' for s in joins] or '-'}")
-        print(f"  drains            "
-              f"{[f'{s.worker}@{s.run}' for s in drains] or '-'}")
-        print(f"  epoch             "
-              f"{failover.epoch if failover is not None else 0} "
-              f"({len(events)} transition(s), {len(members)} member(s))")
+              f"batch={args.batch_size} workers={NUM_WORKERS}")
+        print(f"  joins             {[f'{w}@{r}' for w, r in joins] or '-'}")
+        print(f"  drains            {[f'{w}@{r}' for w, r in drains] or '-'}")
+        print(f"  epoch             {report['epoch']} "
+              f"({len(report['transitions'])} transition(s), "
+              f"{report['members']} member(s))")
         print(f"  moved             "
               f"{rebalance['rebalance_moved_vertices']} vertex(es)")
         print(f"  resync            {rebalance['rebalance_resync_bytes']} B "
@@ -830,7 +787,8 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
               f"{rebalance['rebalance_rank_entries']} rank entr(ies)")
         print(f"  stall             {rebalance['rebalance_stall_s']} s "
               f"(modelled)")
-        print(f"  post skew         {skew:.4f} (max/mean residents)")
+        print(f"  post skew         {report['post_skew']:.4f} "
+              "(max/mean residents)")
         for failure in failures:
             print(f"  FAIL {failure}")
     stream = sys.stderr if args.format == "json" else sys.stdout
@@ -1165,7 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
     rebalance.add_argument("--k", type=int, default=25,
                            help="edges deleted then re-inserted (2k ops)")
     rebalance.add_argument("--batch-size", type=int, default=1)
-    rebalance.add_argument("--workers", type=int, default=10)
     rebalance.add_argument("--seed", type=int, default=0,
                            help="workload seed")
     rebalance.add_argument(
@@ -1267,12 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
     sanitize.add_argument(
         "--seed", action="append", type=int, metavar="S",
         help="run exactly this plan seed (repeatable; overrides --seeds)",
-    )
-    sanitize.add_argument(
-        "--start-method", choices=("spawn", "fork", "forkserver"),
-        default=None,
-        help="multiprocessing start method for the worker pool "
-        "(default: spawn)",
     )
     sanitize.add_argument(
         "--representation", choices=("dict", "csr"), default=None,

@@ -98,8 +98,10 @@ class MISMaintainer(DOIMISMaintainer):
             "independent_set": sorted(self.independent_set()),
             "updates_applied": self.updates_applied,
         }
+        # one C-encoder dumps call: json.dump streams through the much
+        # slower pure-Python encoder, for the same bytes
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            handle.write(json.dumps(payload))
 
     @classmethod
     def load(cls, path, verify: bool = True,

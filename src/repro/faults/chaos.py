@@ -1,4 +1,5 @@
-"""Chaos harness: sweep seeded fault schedules, assert the convergence oracle.
+"""Chaos harness: the one differential oracle for faulted, sanitized and
+elastic runs.
 
 Theorems 4.2/6.1 make DOIMIS self-checking under failure: the maintained set
 is the *unique* greedy fixpoint of ``≺``, so whatever faults the engines
@@ -15,6 +16,16 @@ every logical meter must match too.  Each chaos case therefore asserts:
    may only appear under the ``recovery_*`` meter family;
 4. for the ``none`` preset additionally: zero faults injected, zero
    recovery events (the empty plan is byte-for-byte the fault-free build).
+
+The reference is always the inline, dict-path, fault-free run, computed
+once per workload, so a case on the CSR layout or the process runtime is
+checked against the reference layout too.  Every driver runs here:
+``repro-mis chaos`` sweeps presets (:func:`chaos_suite`); ``repro-mis
+sanitize`` is the same sweep with a race sanitizer per case, whose races
+fail it; ``repro-mis rebalance`` and the ``elastic_*`` bench scenarios run
+scripted joins/drains (:func:`run_elastic_case`); and the serve crash and
+drain replays compare two services with the same
+:func:`drift_failures` messages.
 
 Workloads are scaled-down Fig. 10/11 protocols (delete ``k`` random edges,
 re-insert them; single-update and batched) on the small stand-in datasets.
@@ -120,6 +131,9 @@ CHAOS_WORKLOADS: Tuple[ChaosWorkload, ...] = (
     ChaosWorkload(tag="SL", k=40, batch_size=10, workload_seed=9),
 )
 
+#: cluster size every chaos, sanitize and elastic case runs on
+NUM_WORKERS = 10
+
 #: logical meters that must be bit-identical between the faulted run and
 #: the fault-free reference (superset of ``bench-perf``'s LOGICAL_FIELDS:
 #: recovery replays charge their compute to ``recovery_compute_work``, so
@@ -143,14 +157,52 @@ def plan_for(preset: str, seed: int) -> FaultPlan:
 
 
 @dataclass
-class ChaosReference:
-    """The fault-free run's observables for one workload."""
+class Observables:
+    """What the oracle compares between two runs: members + logical meters."""
 
     members: List[int]
     logical: Dict[str, int]
     #: logical meters of the initial static computation (faults fire there
-    #: too — run 0 of the injector's schedule)
+    #: too — run 0 of the injector's schedule); empty for a serve trace,
+    #: whose meters are cumulative over every committed window
     init_logical: Dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, maintainer) -> "Observables":
+        return cls(
+            members=sorted(maintainer.independent_set()),
+            logical=_logical_fingerprint(maintainer.update_metrics),
+            init_logical=_logical_fingerprint(maintainer.init_metrics),
+        )
+
+
+def drift_failures(
+    observed: Observables, reference: Observables, label: str,
+    reference_label: str = "reference",
+) -> List[str]:
+    """One message per member or logical-meter drift from ``reference``.
+
+    The bit-identity half of every driver's oracle (chaos, sanitize,
+    rebalance, serve crash and drain replay).
+    """
+    failures = []
+    if observed.members != reference.members:
+        failures.append(
+            f"members diverged: |{label}|={len(observed.members)} "
+            f"|{reference_label}|={len(reference.members)}"
+        )
+    for scope, ours, theirs in (
+        ("logical meter", observed.logical, reference.logical),
+        ("init logical meter", observed.init_logical,
+         reference.init_logical),
+    ):
+        for name, value in theirs.items():
+            if ours[name] != value:
+                failures.append(
+                    f"{scope} {name} drifted: {label}={ours[name]} "
+                    f"{reference_label}={value}"
+                )
+    return failures
 
 
 @dataclass
@@ -165,10 +217,16 @@ class ChaosCaseResult:
     divergence: Dict[str, int] = field(default_factory=dict)
     rebalance: Dict[str, float] = field(default_factory=dict)
     failures: List[str] = field(default_factory=list)
+    #: race-sanitizer evidence (empty unless the case ran under one): the
+    #: violations collected, the keyed-hash trace digest that replays under
+    #: any ``PYTHONHASHSEED``, and the supersteps checked
+    races: List[str] = field(default_factory=list)
+    trace_digest: str = ""
+    supersteps_checked: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.races
 
     @property
     def injected_total(self) -> int:
@@ -205,11 +263,11 @@ def _logical_fingerprint(metrics) -> Dict[str, int]:
 def _run_maintenance(
     workload: ChaosWorkload, faults=None, membership=None,
     runtime=None, sanitize=None, representation=None,
-) -> Tuple[DOIMISMaintainer, Any]:
+) -> DOIMISMaintainer:
     graph, ops = _build_case(workload)
     maintainer = DOIMISMaintainer(
         graph,
-        num_workers=10,
+        num_workers=NUM_WORKERS,
         strategy=ActivationStrategy.SAME_STATUS,
         faults=faults,
         membership=membership,
@@ -222,82 +280,62 @@ def _run_maintenance(
     finally:
         if runtime is not None:
             maintainer.close()
-    return maintainer, maintainer.update_metrics
+    return maintainer
 
 
-def reference_run(
-    workload: ChaosWorkload, representation=None
-) -> ChaosReference:
-    """The fault-free observables every chaos case compares against."""
-    maintainer, metrics = _run_maintenance(
-        workload, faults=None, representation=representation
-    )
-    return ChaosReference(
-        members=sorted(maintainer.independent_set()),
-        logical=_logical_fingerprint(metrics),
-        init_logical=_logical_fingerprint(maintainer.init_metrics),
+def reference_run(workload: ChaosWorkload) -> Observables:
+    """The fault-free observables every case compares against: always the
+    inline, dict-path run, whatever layout or backend the case uses."""
+    return Observables.of(
+        _run_maintenance(workload, representation="dict")
     )
 
 
-def run_chaos_case(
-    workload: ChaosWorkload,
-    preset: str,
-    seed: int,
-    reference: Optional[ChaosReference] = None,
-    membership=None,
-    representation=None,
-) -> ChaosCaseResult:
-    """Replay ``workload`` under ``preset``'s seeded plan; check the oracle.
+def _combined(maintainer, summary: str) -> Dict[str, Any]:
+    """A meter family over the initial run plus the updates (faults fire in
+    both, so each run's charges live on its own metrics)."""
+    init = getattr(maintainer.init_metrics, summary)()
+    update = getattr(maintainer.update_metrics, summary)()
+    return {name: init[name] + update[name] for name in update}
 
-    ``reference`` lets a sweep reuse one fault-free run per workload; when
-    omitted it is computed here.  ``membership`` overrides the failover
-    tunables (losses and guest corruption auto-attach a default coordinator
-    otherwise).  Never raises for an oracle violation — failures are
-    reported on the result so a sweep surveys the whole grid.
-    """
+
+def _run_case(
+    workload: ChaosWorkload, preset: str, seed: int, plan: FaultPlan,
+    reference: Optional[Observables] = None, membership=None,
+    representation=None, runtime=None, sanitizer=None,
+) -> Tuple[ChaosCaseResult, Optional[DOIMISMaintainer]]:
+    """Replay ``workload`` under ``plan`` and check the oracle; returns the
+    result and the faulted maintainer (``None`` when the run raised)."""
     if reference is None:
-        reference = reference_run(workload, representation=representation)
+        reference = reference_run(workload)
     result = ChaosCaseResult(workload=workload.name, preset=preset, seed=seed)
-    plan = plan_for(preset, seed)
     injector = FaultInjector(plan)
-
     try:
-        maintainer, metrics = _run_maintenance(
+        maintainer = _run_maintenance(
             workload, faults=injector, membership=membership,
+            runtime=runtime, sanitize=sanitizer,
             representation=representation,
         )
-    except ReproError as exc:
+        # close-out anti-entropy: corruption injected too recently for its
+        # rotation slot must still be caught before we compare observables
+        maintainer.final_audit()
+    except Exception as exc:  # noqa: BLE001 - survey, don't abort the sweep
         # SyncRetryExhausted (drops beyond the retry budget) is the one
         # *designed* escalation; anything else is an oracle failure outright
-        result.injected = injector.stats.as_dict()
+        maintainer = None
         result.failures.append(f"run raised {type(exc).__name__}: {exc}")
-        return result
+    finally:
+        result.injected = injector.stats.as_dict()
+        if sanitizer is not None:
+            result.races = [str(v) for v in sanitizer.violations]
+            result.trace_digest = sanitizer.trace_digest()
+            result.supersteps_checked = sanitizer.supersteps_checked
+    if maintainer is None:
+        return result, None
 
-    # close-out anti-entropy: corruption injected too recently for its
-    # rotation slot must still be caught before we compare observables
-    maintainer.final_audit()
-
-    result.injected = injector.stats.as_dict()
-    # faults fire during the initial static run too — its recovery charges
-    # live on init_metrics, so report both meters combined
-    init_recovery = maintainer.init_metrics.recovery_summary()
-    update_recovery = metrics.recovery_summary()
-    result.recovery = {
-        name: init_recovery[name] + update_recovery[name]
-        for name in update_recovery
-    }
-    init_divergence = maintainer.init_metrics.divergence_summary()
-    update_divergence = metrics.divergence_summary()
-    result.divergence = {
-        name: init_divergence[name] + update_divergence[name]
-        for name in update_divergence
-    }
-    init_rebalance = maintainer.init_metrics.rebalance_summary()
-    update_rebalance = metrics.rebalance_summary()
-    result.rebalance = {
-        name: init_rebalance[name] + update_rebalance[name]
-        for name in update_rebalance
-    }
+    result.recovery = _combined(maintainer, "recovery_summary")
+    result.divergence = _combined(maintainer, "divergence_summary")
+    result.rebalance = _combined(maintainer, "rebalance_summary")
 
     failover = maintainer.failover
     if failover is not None:
@@ -307,53 +345,25 @@ def run_chaos_case(
                 f"{len(leftover)} corrupted guest cop(ies) survived the "
                 f"final audit: {leftover[:5]}"
             )
-
-    members = sorted(maintainer.independent_set())
-    if members != reference.members:
-        result.failures.append(
-            f"final set diverged: |faulted|={len(members)} "
-            f"|reference|={len(reference.members)}"
-        )
+    result.failures.extend(
+        drift_failures(Observables.of(maintainer), reference, "faulted")
+    )
     try:
         maintainer.verify()
     except ReproError as exc:
         result.failures.append(f"fixpoint verification failed: {exc}")
-
-    logical = _logical_fingerprint(metrics)
-    init_logical = _logical_fingerprint(maintainer.init_metrics)
-    for name in LOGICAL_METERS:
-        if logical[name] != reference.logical[name]:
-            result.failures.append(
-                f"logical meter {name} drifted: faulted={logical[name]} "
-                f"reference={reference.logical[name]}"
-            )
-        if init_logical[name] != reference.init_logical[name]:
-            result.failures.append(
-                f"init logical meter {name} drifted: "
-                f"faulted={init_logical[name]} "
-                f"reference={reference.init_logical[name]}"
-            )
 
     if plan.is_empty:
         if result.injected_total:
             result.failures.append(
                 f"empty plan injected {result.injected_total} fault(s)"
             )
-        recovery_total = sum(result.recovery.values())
-        if recovery_total:
-            result.failures.append(
-                f"empty plan charged recovery meters: {result.recovery}"
-            )
-        divergence_total = sum(result.divergence.values())
-        if divergence_total:
-            result.failures.append(
-                f"empty plan charged divergence meters: {result.divergence}"
-            )
-        rebalance_total = sum(result.rebalance.values())
-        if rebalance_total:
-            result.failures.append(
-                f"empty plan charged rebalance meters: {result.rebalance}"
-            )
+        for family in ("recovery", "divergence", "rebalance"):
+            meters = getattr(result, family)
+            if sum(meters.values()):
+                result.failures.append(
+                    f"empty plan charged {family} meters: {meters}"
+                )
     if plan.schedules_transitions:
         applied = (result.injected.get("drains", 0)
                    + result.injected.get("joins", 0))
@@ -366,7 +376,145 @@ def run_chaos_case(
                 "membership transitions applied but no movement was "
                 "charged to the rebalance meters"
             )
+    return result, maintainer
+
+
+def run_chaos_case(
+    workload: ChaosWorkload,
+    preset: str,
+    seed: int,
+    reference: Optional[Observables] = None,
+    membership=None,
+    representation=None,
+    runtime=None,
+    sanitizer=None,
+) -> ChaosCaseResult:
+    """Replay ``workload`` under ``preset``'s seeded plan; check the oracle.
+
+    Each case asserts the fixpoint, the oracle's bit-identity with
+    ``reference`` and, for an empty plan, that nothing fired and no
+    recovery, divergence or rebalance meter moved.  ``reference`` lets a
+    sweep reuse one fault-free run per workload; when omitted it is
+    computed here.  ``membership`` overrides the failover tunables (losses
+    and guest corruption auto-attach a default coordinator otherwise).
+    ``runtime`` is the execution backend (closed with the run; inline when
+    ``None``); ``sanitizer`` a
+    :class:`~repro.analysis.parallel.sanitizer.RaceSanitizer` whose races
+    fail the case.  Never raises for an oracle violation — failures are
+    reported on the result so a sweep surveys the whole grid.
+    """
+    result, _maintainer = _run_case(
+        workload, preset, seed, plan_for(preset, seed), reference,
+        membership=membership, representation=representation,
+        runtime=runtime, sanitizer=sanitizer,
+    )
     return result
+
+
+def run_elastic_case(
+    workload: ChaosWorkload,
+    joins: Sequence[Tuple[int, int]] = (),
+    drains: Sequence[Tuple[int, int]] = (),
+    runtime=None,
+    representation=None,
+) -> Tuple[ChaosCaseResult, Optional[DOIMISMaintainer]]:
+    """Scripted voluntary joins/drains, checked like any chaos case.
+
+    ``joins``/``drains`` are ``(worker, run)`` pairs, each applied at the
+    first barrier of update run ``run``.  Returns the result and the
+    elastic maintainer (``None`` when the run raised) for
+    :func:`elastic_report`; ``repro-mis rebalance`` and the ``elastic_*``
+    bench scenarios both run here.
+    """
+    plan = FaultPlan(
+        seed=0,
+        joins=tuple(JoinSpec(superstep=0, worker=w, run=r) for w, r in joins),
+        drains=tuple(DrainSpec(superstep=0, worker=w, run=r)
+                     for w, r in drains),
+    )
+    return _run_case(
+        workload, "scripted", 0, plan, runtime=runtime,
+        representation=representation,
+    )
+
+
+def elastic_report(maintainer) -> Dict[str, Any]:
+    """Membership after an elastic run: the epoch, the live member count,
+    the transition trace, and the residency skew (max/mean resident
+    vertices per live worker under the effective placement)."""
+    failover = maintainer.failover
+    members = failover.view.members()
+    counts = {w: 0 for w in members}
+    for u in maintainer.graph.vertices():
+        w = failover.worker_of(u)
+        counts[w] = counts.get(w, 0) + 1
+    loads = list(counts.values())
+    mean = sum(loads) / len(loads) if loads else 0.0
+    return {
+        "epoch": failover.epoch,
+        "members": len(members),
+        "transitions": [
+            {"superstep": e.superstep, "joined": list(e.joined),
+             "drained": list(e.drained), "moved": e.moved,
+             "epoch": e.epoch, "stall_s": e.stall_s}
+            for e in failover.transitions
+        ],
+        "post_skew": round(max(loads) / mean, 4) if mean else 1.0,
+    }
+
+
+def _serve_observables(service) -> Observables:
+    """A closed service's members and cumulative logical meters."""
+    totals = service.logical_totals()
+    return Observables(
+        members=sorted(service.maintainer.independent_set()),
+        logical={name: totals[name] for name in LOGICAL_METERS},
+    )
+
+
+def _serve_controller():
+    from repro.serve import AdaptiveWindowController, WindowConfig
+
+    return AdaptiveWindowController(
+        WindowConfig(min_window=4, max_window=64, initial_window=8)
+    )
+
+
+def _serve_trace(tag: str, num_ops: int, seed: int, poison_prob=0.0):
+    from repro.graph.datasets import load_dataset
+    from repro.serve import TraceConfig, bursty_trace
+
+    return bursty_trace(
+        load_dataset(tag),
+        TraceConfig(num_ops=num_ops, seed=seed, poison_prob=poison_prob),
+    )
+
+
+def _serve_maintainer(tag: str, runtime_factory, representation, faults):
+    from repro.core.maintainer import MISMaintainer
+    from repro.graph.datasets import load_dataset
+
+    return MISMaintainer(
+        load_dataset(tag),
+        num_workers=NUM_WORKERS,
+        strategy=ActivationStrategy.SAME_STATUS,
+        runtime=runtime_factory() if runtime_factory else None,
+        representation=representation,
+        faults=faults,
+    )
+
+
+def _audit_failures(label: str, directory: str) -> List[str]:
+    """The exactly-once audit of one log directory: no problem, and every
+    logged event applied or quarantined, none pending."""
+    from repro.serve import audit_log
+
+    problems, summary = audit_log(directory)
+    failures = [f"{label} log audit: {p}" for p in problems]
+    if (summary["events"] != summary["applied"] + summary["quarantined"]
+            or summary["pending"]):
+        failures.append(f"{label} log lost events: {summary}")
+    return failures
 
 
 @dataclass
@@ -431,37 +579,19 @@ def serve_crash_replay(
     import shutil
     import tempfile
 
-    from repro.core.maintainer import MISMaintainer
-    from repro.graph.datasets import load_dataset
-    from repro.serve import (
-        AdaptiveWindowController,
-        IngestionService,
-        RetryPolicy,
-        TraceConfig,
-        WindowConfig,
-        audit_log,
-        bursty_trace,
-    )
+    from repro.serve import IngestionService, RetryPolicy
 
     result = ServeChaosResult(tag=tag, seed=seed, num_ops=num_ops)
-    ops, timestamps = bursty_trace(
-        load_dataset(tag),
-        TraceConfig(num_ops=num_ops, seed=seed, poison_prob=poison_prob),
-    )
+    ops, timestamps = _serve_trace(tag, num_ops, seed, poison_prob)
 
-    def make_controller():
-        return AdaptiveWindowController(
-            WindowConfig(min_window=4, max_window=64, initial_window=8)
-        )
-
-    def make_maintainer():
-        return MISMaintainer(
-            load_dataset(tag),
-            num_workers=10,
-            strategy=ActivationStrategy.SAME_STATUS,
-            runtime=runtime_factory() if runtime_factory else None,
-            representation=representation,
-            faults=faults_factory() if faults_factory else None,
+    def make_service(directory):
+        return IngestionService(
+            _serve_maintainer(
+                tag, runtime_factory, representation,
+                faults_factory() if faults_factory else None,
+            ),
+            directory, controller=_serve_controller(), retry=retry,
+            checkpoint_every=3,
         )
 
     retry = RetryPolicy(max_retries=2, backoff_base_s=0.2)
@@ -469,33 +599,24 @@ def serve_crash_replay(
     dir_ref = f"{root}/reference"
     dir_crash = f"{root}/crashed"
     try:
-        reference = IngestionService(
-            make_maintainer(), dir_ref, controller=make_controller(),
-            retry=retry, checkpoint_every=3,
-        )
+        reference = make_service(dir_ref)
         for op, ts in zip(ops, timestamps):
             reference.submit(op, ts)
         reference.close()
-        ref_members = sorted(reference.maintainer.independent_set())
-        ref_totals = reference.logical_totals()
 
-        crashed = IngestionService(
-            make_maintainer(), dir_crash, controller=make_controller(),
-            retry=retry, checkpoint_every=3,
-        )
+        crashed = make_service(dir_crash)
         cut = 0
         for i, (op, ts) in enumerate(zip(ops, timestamps)):
             crashed.submit(op, ts)
             if crashed.windows_committed >= crash_commits and crashed.pending >= 2:
                 cut = i + 1
                 break
+        crashed.abandon()  # the "kill": no drain, no commit, no checkpoint
         if not cut or cut >= len(ops):
             result.failures.append(
                 f"trace too short to crash mid-window (cut={cut})"
             )
-            crashed.abandon()
             return result
-        crashed.abandon()  # the "kill": no drain, no commit, no checkpoint
         result.crashed_after = cut
 
         recovered = IngestionService.recover(
@@ -505,7 +626,7 @@ def serve_crash_replay(
                 "representation": representation,
                 "faults": faults_factory() if faults_factory else None,
             },
-            controller=make_controller(), retry=retry, checkpoint_every=3,
+            controller=_serve_controller(), retry=retry, checkpoint_every=3,
         )
         result.replayed_windows = recovered.stats.replayed_windows
         result.replayed_events = recovered.stats.replayed_events
@@ -514,30 +635,12 @@ def serve_crash_replay(
         recovered.close()
         result.quarantined = recovered.stats.quarantined
 
-        rec_members = sorted(recovered.maintainer.independent_set())
-        rec_totals = recovered.logical_totals()
-        if rec_members != ref_members:
-            result.failures.append(
-                f"members diverged after replay: |recovered|="
-                f"{len(rec_members)} |reference|={len(ref_members)}"
-            )
-        for name in LOGICAL_METERS:
-            if rec_totals[name] != ref_totals[name]:
-                result.failures.append(
-                    f"cumulative meter {name} drifted: recovered="
-                    f"{rec_totals[name]} reference={ref_totals[name]}"
-                )
-        for label, directory in (("reference", dir_ref),
-                                 ("crashed", dir_crash)):
-            problems, summary = audit_log(directory)
-            result.failures.extend(
-                f"{label} log audit: {p}" for p in problems
-            )
-            expected = summary["applied"] + summary["quarantined"]
-            if summary["events"] != expected or summary["pending"]:
-                result.failures.append(
-                    f"{label} log lost events: {summary}"
-                )
+        result.failures.extend(drift_failures(
+            _serve_observables(recovered), _serve_observables(reference),
+            "recovered",
+        ))
+        result.failures.extend(_audit_failures("reference", dir_ref))
+        result.failures.extend(_audit_failures("crashed", dir_crash))
     finally:
         if wal_root is None:
             shutil.rmtree(root, ignore_errors=True)
@@ -565,38 +668,10 @@ def serve_drain_replay(
     import shutil
     import tempfile
 
-    from repro.core.maintainer import MISMaintainer
-    from repro.graph.datasets import load_dataset
-    from repro.serve import (
-        AdaptiveWindowController,
-        IngestionService,
-        TraceConfig,
-        WindowConfig,
-        audit_log,
-        bursty_trace,
-    )
+    from repro.serve import IngestionService
 
     result = ServeChaosResult(tag=tag, seed=seed, num_ops=num_ops)
-    ops, timestamps = bursty_trace(
-        load_dataset(tag),
-        TraceConfig(num_ops=num_ops, seed=seed),
-    )
-
-    def make_controller():
-        return AdaptiveWindowController(
-            WindowConfig(min_window=4, max_window=64, initial_window=8)
-        )
-
-    def make_maintainer(faults):
-        return MISMaintainer(
-            load_dataset(tag),
-            num_workers=10,
-            strategy=ActivationStrategy.SAME_STATUS,
-            runtime=runtime_factory() if runtime_factory else None,
-            representation=representation,
-            faults=faults,
-        )
-
+    ops, timestamps = _serve_trace(tag, num_ops, seed)
     root = wal_root or tempfile.mkdtemp(prefix="serve-drain-")
     try:
         runs = {}
@@ -605,30 +680,22 @@ def serve_drain_replay(
             ("elastic", FaultInjector(plan_for(preset, seed))),
         ):
             service = IngestionService(
-                make_maintainer(faults), f"{root}/{label}",
-                controller=make_controller(), checkpoint_every=3,
+                _serve_maintainer(tag, runtime_factory, representation,
+                                  faults),
+                f"{root}/{label}",
+                controller=_serve_controller(), checkpoint_every=3,
             )
             for op, ts in zip(ops, timestamps):
                 service.submit(op, ts)
             service.close()
             runs[label] = service
-        static, elastic = runs["static"], runs["elastic"]
-
-        if sorted(elastic.maintainer.independent_set()) != \
-                sorted(static.maintainer.independent_set()):
-            result.failures.append(
-                "members diverged between elastic and static membership"
-            )
-        static_totals = static.logical_totals()
-        elastic_totals = elastic.logical_totals()
-        for name in LOGICAL_METERS:
-            if elastic_totals[name] != static_totals[name]:
-                result.failures.append(
-                    f"cumulative meter {name} drifted: elastic="
-                    f"{elastic_totals[name]} static={static_totals[name]}"
-                )
-        metrics = elastic.maintainer.update_metrics
-        rebalance = metrics.rebalance_summary()
+            result.failures.extend(_audit_failures(label, f"{root}/{label}"))
+        elastic = runs["elastic"]
+        result.failures.extend(drift_failures(
+            _serve_observables(elastic), _serve_observables(runs["static"]),
+            "elastic", reference_label="static",
+        ))
+        rebalance = elastic.maintainer.update_metrics.rebalance_summary()
         if not rebalance["rebalance_drains"]:
             result.failures.append(
                 f"preset {preset!r} applied no drain mid-stream"
@@ -640,11 +707,6 @@ def serve_drain_replay(
         failover = elastic.maintainer.failover
         if failover is not None and failover.epoch < 1:
             result.failures.append("membership epoch never advanced")
-        for label in ("static", "elastic"):
-            problems, _summary = audit_log(f"{root}/{label}")
-            result.failures.extend(
-                f"{label} log audit: {p}" for p in problems
-            )
     finally:
         if wal_root is None:
             shutil.rmtree(root, ignore_errors=True)
@@ -657,24 +719,30 @@ def chaos_suite(
     workloads: Sequence[ChaosWorkload] = CHAOS_WORKLOADS,
     membership=None,
     representation=None,
+    procs: int = 1,
+    sanitize: bool = False,
 ) -> List[ChaosCaseResult]:
     """Sweep ``presets x seeds`` over ``workloads`` (reference once each).
 
     Defaults to every preset in :data:`PLAN_PRESETS`.  ``membership``
-    overrides the failover tunables for every case.  Returns one
-    :class:`ChaosCaseResult` per case; callers decide whether any failure is
-    fatal (``repro-mis chaos`` exits non-zero).
+    overrides the failover tunables for every case.  ``procs > 1`` runs
+    each case on a fresh :class:`~repro.runtime.parallel.ParallelRuntime`
+    of that many worker processes; ``sanitize`` wraps each case's backend
+    in a fresh collecting (``strict=False``)
+    :class:`~repro.analysis.parallel.sanitizer.RaceSanitizer`, so one case
+    surveys a whole run (``repro-mis sanitize``).  Returns one
+    :class:`ChaosCaseResult` per case; callers decide whether any failure
+    is fatal (``repro-mis chaos`` exits non-zero).
     """
+    from repro.analysis.parallel.sanitizer import RaceSanitizer
+    from repro.runtime.parallel import ParallelRuntime
+
     selected = list(presets) or list(PLAN_PRESETS)
     for preset in selected:
-        if preset not in PLAN_PRESETS:
-            raise WorkloadError(
-                f"unknown chaos preset {preset!r}; "
-                f"known: {', '.join(PLAN_PRESETS)}"
-            )
+        plan_for(preset, 0)  # reject an unknown name before any run
     results: List[ChaosCaseResult] = []
     for workload in workloads:
-        reference = reference_run(workload, representation=representation)
+        reference = reference_run(workload)
         for preset in selected:
             for seed in seeds:
                 results.append(
@@ -682,6 +750,10 @@ def chaos_suite(
                         workload, preset, seed,
                         reference=reference, membership=membership,
                         representation=representation,
+                        runtime=ParallelRuntime(procs=procs)
+                        if procs > 1 else None,
+                        sanitizer=RaceSanitizer(strict=False)
+                        if sanitize else None,
                     )
                 )
     return results

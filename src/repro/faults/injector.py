@@ -109,11 +109,6 @@ class FaultInjector:
         work for an inactive injector)."""
         return not self.plan.is_empty
 
-    @property
-    def run_index(self) -> int:
-        """Index of the engine run currently being served (-1 before any)."""
-        return self._run
-
     def begin_run(self) -> None:
         """Called by an engine at the top of :meth:`run`."""
         self._run += 1

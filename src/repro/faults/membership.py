@@ -209,9 +209,6 @@ class MembershipView:
     def is_dead(self, worker: int) -> bool:
         return worker in self._dead
 
-    def is_drained(self, worker: int) -> bool:
-        return worker in self._drained
-
     def is_member(self, worker: int) -> bool:
         return (worker in self._last_seen and worker not in self._dead
                 and worker not in self._drained)

@@ -97,13 +97,6 @@ class RankedAdjacency:
             self._ids[u] = ids
         return ids
 
-    def ranked_entries(self, u: int) -> List[Tuple[Any, int]]:
-        """``(key, neighbour)`` pairs in rank order (for bisect callers)."""
-        entries = self._entries.get(u)
-        if entries is None:
-            entries = self._materialize(u)
-        return entries
-
     def rank_key(self, u: int) -> Any:
         """Current rank key of ``u`` (published if not yet seen)."""
         key = self._keys.get(u)

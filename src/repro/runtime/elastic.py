@@ -118,11 +118,6 @@ class LoadBalancer:
         total = sum(sum(work) for _a, work in self._barriers)
         return total / len(self._barriers)
 
-    def mean_active_per_barrier(self) -> float:
-        if not self._barriers:
-            return 0.0
-        return sum(a for a, _w in self._barriers) / len(self._barriers)
-
     # ------------------------------------------------------------------
     def recommend(self, num_workers: int) -> Recommendation:
         """Skew-only recommendation (the policy layers utilization on top)."""

@@ -340,18 +340,6 @@ class IngestionService:
         self._pump()
         return SubmitResult(accepted=True, seq=seq)
 
-    def submit_many(
-        self,
-        operations: List[EdgeUpdate],
-        timestamps: Optional[List[float]] = None,
-    ) -> List[SubmitResult]:
-        return [
-            self.submit(
-                op, timestamps[i] if timestamps is not None else None
-            )
-            for i, op in enumerate(operations)
-        ]
-
     def drain(self) -> None:
         """Apply everything pending now (retry deadlines ignored)."""
         self._pump(force=True, target=0)
@@ -497,11 +485,6 @@ class IngestionService:
                 runtime = None
         return self._require_reads().batch(vertices, runtime=runtime)
 
-    def query_neighborhood(self, vertex: int, hops: int = 1) -> Dict[str, Any]:
-        """In-set vertices within ``hops`` of ``vertex`` at the last
-        committed epoch."""
-        return self._require_reads().neighborhood(vertex, hops=hops)
-
     def query_why_not(self, vertex: int) -> Dict[str, Any]:
         """Membership certificate (blocking ≺-smaller in-set neighbour
         for a non-member) at the last committed epoch."""
@@ -638,12 +621,19 @@ class IngestionService:
     def checkpoint(self) -> str:
         """Write a maintainer checkpoint + its WAL record; returns the
         checkpoint file's path.  Crash-ordering-safe: the file is fsynced
-        into place *before* the record that announces it."""
+        into place *before* the record that announces it (the ``.tmp`` file
+        before ``os.replace``, the directory after it; the ``never`` fsync
+        policy skips both)."""
         name = f"checkpoint-{self._applied_watermark:012d}.json"
         path = os.path.join(self.wal_dir, name)
         tmp = path + ".tmp"
         self.maintainer.save(tmp)
+        durable = self.wal.fsync != "never"
+        if durable:
+            _fsync_path(tmp)
         os.replace(tmp, path)
+        if durable:
+            _fsync_path(self.wal_dir)
         self.wal.append({
             "t": "ck",
             "q": self._applied_watermark,
@@ -1063,6 +1053,15 @@ def audit_log(wal_dir: str) -> Tuple[List[str], Dict[str, int]]:
         "commits": len(commit_ranges),
     }
     return problems, summary
+
+
+def _fsync_path(path: str) -> None:
+    """Flush a file's or a directory's contents to stable storage."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _event_payload(

@@ -1,5 +1,7 @@
 """P-family static rules and the superstep race sanitizer."""
 
+import json
+
 import pytest
 
 from repro.analysis import lint_source
@@ -10,10 +12,9 @@ from repro.analysis.parallel import (
     resolve_sanitizer,
     sanitize_enabled,
 )
-from repro.analysis.parallel.sanitize import run_sanitize_case
 from repro.core.oimis import OIMISProgram, OIMISPregelProgram
 from repro.errors import RaceViolation
-from repro.faults.chaos import CHAOS_WORKLOADS
+from repro.faults.chaos import CHAOS_WORKLOADS, run_chaos_case
 from repro.graph import generators
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dynamic_graph import DynamicGraph
@@ -339,14 +340,36 @@ def test_collecting_mode_surveys_instead_of_raising():
 
 
 # ---------------------------------------------------------------------------
-# the sanitize driver: inline chaos case is race-free and bit-identical
+# sanitize = a chaos case under the sanitizer: race-free and bit-identical
 # ---------------------------------------------------------------------------
 def test_run_sanitize_case_inline_clean():
     workload = CHAOS_WORKLOADS[1]  # fig11_batch_SL — the shorter stream
-    result = run_sanitize_case(workload, preset="none", seed=0, procs=1)
+    result = run_chaos_case(
+        workload, preset="none", seed=0,
+        sanitizer=RaceSanitizer(strict=False),
+    )
     assert result.ok, (result.races, result.failures)
     assert result.supersteps_checked > 0
     assert result.trace_digest
     payload = result.as_dict()
     assert payload["ok"] is True
     assert payload["workload"] == workload.name
+
+
+def test_sanitize_cli_json_keys(capsys):
+    from repro.cli import main
+
+    code = main(["sanitize", "--procs", "1", "--workload", "fig11_batch_SL",
+                 "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [list(row) for row in rows] == [[
+        "workload", "preset", "seed", "procs", "ok", "supersteps_checked",
+        "trace_digest", "races", "failures",
+    ]]
+    row = rows[0]
+    assert (row["workload"], row["preset"], row["seed"], row["procs"]) == \
+        ("fig11_batch_SL", "none", 0, 1)
+    assert row["ok"] is True and row["races"] == [] and row["failures"] == []
+    assert row["supersteps_checked"] > 0
+    assert len(row["trace_digest"]) == 16

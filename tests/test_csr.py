@@ -359,6 +359,32 @@ def test_chaos_preset_bit_identical_under_csr(preset):
     assert result.ok, result.failures
 
 
+def test_csr_chaos_case_checked_against_dict_reference(monkeypatch):
+    from repro.faults import chaos
+
+    workload = chaos.ChaosWorkload(tag="AM", k=6, batch_size=3,
+                                   workload_seed=1)
+    assert chaos.run_chaos_case(
+        workload, "crash", 0, representation="csr"
+    ).ok
+
+    class CSRDrift(chaos.DOIMISMaintainer):
+        """Charges one phantom neighbour scan per stream, on CSR only."""
+
+        def apply_stream(self, operations, batch_size=1):
+            super().apply_stream(operations, batch_size=batch_size)
+            if self.state_partition is not None:
+                self.update_metrics.compute_work += 1
+
+    # the reference is computed under the patch too: a CSR reference would
+    # carry the same drift and hide it, the dict reference cannot
+    monkeypatch.setattr(chaos, "DOIMISMaintainer", CSRDrift)
+    result = chaos.run_chaos_case(workload, "crash", 0, representation="csr")
+    assert not result.ok
+    assert any(f.startswith("logical meter compute_work drifted: faulted=")
+               for f in result.failures), result.failures
+
+
 # ---------------------------------------------------------------------------
 # bit-identity across hash seeds (fresh interpreters)
 # ---------------------------------------------------------------------------

@@ -796,6 +796,27 @@ class TestElasticCLI:
 
         assert main(["rebalance"]) != 0
 
+    def test_rebalance_json_matches_elastic_bench_entry(self, capsys):
+        import json
+
+        from repro.bench import perf
+        from repro.cli import main
+
+        # elastic_drain_SKI's plan: SKI, k=60, seed 7, batches of 10,
+        # worker 5 drains at update run 3
+        entry = perf.SCENARIOS["elastic_drain_SKI"]()
+        code = main([
+            "rebalance", "--dataset", "SKI", "--k", "60", "--seed", "7",
+            "--batch-size", "10", "--drain", "5@3", "--format", "json",
+        ])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["ok"]
+        assert report["transitions"] == entry["perf"]["elastic"]["transitions"]
+        assert report["post_skew"] == entry["perf"]["elastic"]["post_skew"]
+        assert report["members"] == entry["perf"]["elastic"]["members_after"]
+        assert report["rebalance"] == entry["logical"]["rebalance"]
+        assert report["transitions"]  # the drain applied
+
     def test_serve_autoscale_flag(self, capsys):
         from repro.cli import main
 

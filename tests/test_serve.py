@@ -390,6 +390,39 @@ class TestService:
         assert names == ["checkpoint-000000000000.json"]
         service.close()
 
+    def test_checkpoint_fsynced_before_its_wal_record(self, tmp_path,
+                                                     monkeypatch):
+        service = _service(tmp_path)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+        real_append = service.wal.append
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(dst)))
+            real_replace(src, dst)
+
+        def append(payload):
+            events.append(("append", payload["t"]))
+            real_append(payload)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(service.wal, "append", append)
+        path = service.checkpoint()
+        monkeypatch.undo()
+        order = [
+            events.index(("fsync", os.stat(path).st_ino)),
+            events.index(("replace", os.path.basename(path))),
+            events.index(("fsync", os.stat(service.wal_dir).st_ino)),
+            events.index(("append", "ck")),
+        ]
+        service.close()
+        assert order == sorted(order), events
+
     def test_checkpoint_pruning_keeps_two(self, tmp_path):
         service = _service(tmp_path, checkpoint_every=1)
         ops, timestamps = bursty_trace(
